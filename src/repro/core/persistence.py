@@ -55,6 +55,9 @@ def _classifier_state(classifier: AdmittanceClassifier) -> dict:
         "replace_repeated": classifier._learner.replace_repeated,
         "max_buffer": classifier._learner.max_buffer,
         "random_state": classifier.random_state,
+        "guard_margin": classifier.guard_margin,
+        "cv_check_every": classifier.cv_check_every,
+        "warm_start": classifier._learner.warm_start,
         "phase": classifier.phase.value,
         "bootstrap_samples_used": classifier.bootstrap_samples_used,
         "last_cv_accuracy": classifier.last_cv_accuracy,
@@ -126,6 +129,10 @@ def loads_exbox(text: str) -> ExBox:
         replace_repeated=clf_state["replace_repeated"],
         max_buffer=clf_state["max_buffer"],
         random_state=clf_state["random_state"],
+        # Older snapshots predate these keys; fall back to the defaults.
+        guard_margin=clf_state.get("guard_margin", 0.0),
+        cv_check_every=clf_state.get("cv_check_every", 10),
+        warm_start=clf_state.get("warm_start", True),
     )
     for x, y in zip(clf_state["X"], clf_state["y"]):
         classifier._learner.add_sample(x, int(y))

@@ -55,14 +55,12 @@ class GramCache:
     the cached block (``evicted`` hints how many leading rows dropped).
 
     Instrumented through ``obs``: ``gram.cache.hits`` / ``gram.cache.
-    misses`` count reusing vs full-recompute calls, ``gram.cache.
-    invalidations`` counts explicit resets, and ``gram.rows_reused``
-    gauges how many rows the last call reused.
+    misses`` count reusing vs full-recompute calls, and ``gram.cache.
+    invalidations`` counts explicit resets.
     """
 
     def __init__(self, obs: Optional[Obs] = None) -> None:
         self.obs = obs if obs is not None else NULL_OBS
-        self.last_rows_reused = 0
         self._kernel: Optional[Kernel] = None
         self._X: Optional[np.ndarray] = None
         self._K: Optional[np.ndarray] = None
@@ -103,8 +101,6 @@ class GramCache:
         else:
             K = np.asarray(kernel(X, X), dtype=float)
             self.obs.counter("gram.cache.misses").inc()
-        self.obs.gauge("gram.rows_reused").set(reused)
-        self.last_rows_reused = reused
         self._kernel = kernel
         self._X = X.copy()
         self._K = K

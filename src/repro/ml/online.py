@@ -20,12 +20,9 @@ amortizes all three costs (see ``docs/performance.md``):
   already-seen samples are unchanged;
 - a :class:`~repro.ml.gram.GramCache` carries the Gram matrix across
   retrains, computing kernel rows only for the border of new samples
-  (bit-exact, so decisions are identical with the cache on or off);
+  (bit-exact: every matrix equals a from-scratch ``kernel(X, X)``);
 - with ``warm_start`` the previous solution's dual variables seed each
   SMO solve (keyed by sample, surviving buffer reorderings).
-
-The refresh schedule is applied identically whether the Gram cache is
-enabled or not, which is what keeps the cache a pure optimization.
 """
 
 from __future__ import annotations
@@ -42,12 +39,6 @@ from repro.ml.svm import SVC
 from repro.obs.facade import NULL_OBS, Obs
 
 __all__ = ["BatchOnlineSVM", "default_svc_factory"]
-
-#: Buckets for the ``retrain.amortization`` histogram: fraction of Gram
-#: rows reused per retrain (0 = cold full recompute, →1 = only the new
-#: batch's border was computed).
-AMORTIZATION_BUCKETS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
-
 
 def default_svc_factory() -> SVC:
     """The stock online-learner model (module-level, hence picklable —
@@ -70,25 +61,18 @@ class BatchOnlineSVM:
         When True (the paper's rule), re-observing a feature vector
         replaces its stored label; when False samples are append-only.
         The append-only variant exists for the ablation benchmark.
-    scale:
-        Standardize features before each fit (recommended for RBF). The
-        scaler is refrozen on the amortized refresh schedule, not per
-        retrain.
     max_buffer:
         Optional cap on stored samples; oldest are evicted first.
     warm_start:
         Seed each retrain's SMO with the previous solution's dual
         variables (incremental SVM learning). Only effective when the
         model factory produces an :class:`~repro.ml.svm.SVC`.
-    use_gram_cache:
-        Carry the training Gram matrix across retrains via
-        :class:`~repro.ml.gram.GramCache` (bit-exact; fitted models and
-        decisions are identical with the cache on or off). Only
-        effective for :class:`~repro.ml.svm.SVC` models.
     obs:
         Observability handle; a recording handle counts Gram-cache
-        hits/misses/invalidations, gauges reused rows, and histograms
-        the per-retrain amortization fraction. Inert by default.
+        hits/misses/invalidations. Inert by default.
+
+    Features are always standardized before each fit; the scaler is
+    refrozen on the amortized refresh schedule, not per retrain.
     """
 
     def __init__(
@@ -96,10 +80,8 @@ class BatchOnlineSVM:
         batch_size: int = 20,
         model_factory: Optional[Callable[[], SVC]] = None,
         replace_repeated: bool = True,
-        scale: bool = True,
         max_buffer: Optional[int] = None,
         warm_start: bool = False,
-        use_gram_cache: bool = True,
         obs: Optional[Obs] = None,
     ) -> None:
         if batch_size < 1:
@@ -109,10 +91,8 @@ class BatchOnlineSVM:
         self.batch_size = int(batch_size)
         self.model_factory = model_factory or default_svc_factory
         self.replace_repeated = replace_repeated
-        self.scale = scale
         self.max_buffer = max_buffer
         self.warm_start = warm_start
-        self.use_gram_cache = bool(use_gram_cache)
         self.obs = obs if obs is not None else NULL_OBS
         self._alpha_by_key: Dict[Tuple[float, ...], float] = {}
 
@@ -227,8 +207,8 @@ class BatchOnlineSVM:
         scaler and resolved kernel once the samples observed since the
         last refresh reach the buffer size at that refresh (a doubling
         schedule while the buffer grows; roughly one refresh per buffer
-        turnover once ``max_buffer`` saturates). Independent of the Gram
-        cache flag by design — see the module docstring."""
+        turnover once ``max_buffer`` saturates). The Gram cache is
+        invalidated at exactly these points."""
         if self._samples_at_refresh < 0:
             return True
         interval = max(self._rows_at_refresh, self.batch_size)
@@ -239,31 +219,25 @@ class BatchOnlineSVM:
         if not self._X:
             raise RuntimeError("no samples to train on")
         X, y = self.training_set()
-        refresh = self._kernel_refresh_due()
-        if refresh:
-            if self.scale:
-                self._scaler = StandardScaler().fit(X)
+        if self._kernel_refresh_due():
+            self._scaler = StandardScaler().fit(X)
             self._samples_at_refresh = self._n_observed
             self._rows_at_refresh = X.shape[0]
             self._frozen_kernel = None
             self._gram_cache.invalidate()
-        if self.scale and self._scaler is not None:
-            X = self._scaler.transform(X)
+        X = self._prepare(X)
         model = self.model_factory()
         managed = isinstance(model, SVC)
         gram: Optional[np.ndarray] = None
-        reused = 0
         if managed:
             if self._frozen_kernel is None:
                 self._frozen_kernel = freeze_kernel(model.kernel, X)
             # The model must solve in the epoch's effective kernel (the
             # one the cache — and previous decisions — are built on).
             model.kernel = self._frozen_kernel
-            if self.use_gram_cache:
-                gram = self._gram_cache.gram(
-                    self._frozen_kernel, X, evicted=self._evictions_pending
-                )
-                reused = min(self._gram_cache.last_rows_reused, X.shape[0])
+            gram = self._gram_cache.gram(
+                self._frozen_kernel, X, evicted=self._evictions_pending
+            )
         self._evictions_pending = 0
         alpha_init: Optional[List[float]] = None
         if self.warm_start and self._alpha_by_key and managed:
@@ -277,9 +251,6 @@ class BatchOnlineSVM:
         self._model = model
         self._since_retrain = 0
         self.n_retrains += 1
-        self.obs.histogram(
-            "retrain.amortization", buckets=AMORTIZATION_BUCKETS
-        ).observe(reused / X.shape[0])
 
     # ------------------------------------------------------------------
     # Persistence support

@@ -10,9 +10,7 @@ every hot path a way to report where time and decisions go:
 - :mod:`repro.obs.exporters` — JSON snapshot (``BENCH_*.json``),
   Prometheus text, and Chrome trace-event timeline formats,
 - :mod:`repro.obs.recorder` — bounded flight recorder of per-decision
-  records, dumped as JSON-lines when an alert fires,
-- :mod:`repro.obs.alerts` — declarative SLO threshold rules and the
-  engine that fires them (and triggers recorder dumps),
+  records, dumped as JSON-lines for post-mortems,
 - :mod:`repro.obs.diffing` — snapshot-to-snapshot comparison backing
   ``python -m repro obs diff``,
 - :mod:`repro.obs.baseline` — the CI regression gate against a committed
@@ -23,13 +21,6 @@ every hot path a way to report where time and decisions go:
 See ``docs/observability.md`` for the metric catalogue and span names.
 """
 
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertEvent,
-    AlertRule,
-    rules_from_dict,
-    rules_from_toml,
-)
 from repro.obs.baseline import GateCheck, GateResult, check_baseline
 from repro.obs.clock import MONOTONIC, Clock, ManualClock
 from repro.obs.diffing import (
@@ -71,11 +62,6 @@ __all__ = [
     "MONOTONIC",
     "Clock",
     "ManualClock",
-    "AlertEngine",
-    "AlertEvent",
-    "AlertRule",
-    "rules_from_dict",
-    "rules_from_toml",
     "GateCheck",
     "GateResult",
     "check_baseline",

@@ -11,8 +11,7 @@ phase, the verdict, and how long the decision took.
 of :class:`DecisionRecord` entries, costing one dataclass append per
 decision and evicting the oldest entry once full. ``dump()`` emits the
 retained records as JSON-lines (sorted keys, byte-deterministic for a
-given stream), which is what the alert engine calls when an SLO rule
-fires::
+given stream), the post-mortem view of the last decisions::
 
     recorder = FlightRecorder(capacity=256)
     obs = Obs.recording(recorder=recorder)
@@ -152,8 +151,8 @@ class FlightRecorder:
         """Emit the retained records as JSON-lines.
 
         Returns the dump text; also writes it to ``stream`` when one is
-        given. ``last_n`` limits the dump to the most recent records (the
-        alert engine's post-mortem window). Keys are sorted, so a given
+        given. ``last_n`` limits the dump to the most recent records (a
+        post-mortem window). Keys are sorted, so a given
         decision stream dumps byte-identically.
         """
         records = self._records if last_n is None else self.last(last_n)

@@ -6,16 +6,17 @@ import pytest
 from repro.core.exbox import ExBox
 from repro.core.persistence import dump_exbox, dumps_exbox, load_exbox, loads_exbox
 from repro.core.admittance import Phase
-from repro.traffic.flows import APP_CLASSES, FlowRequest, WEB
+from repro.traffic.flows import APP_CLASSES, FlowRequest
 from repro.testbed.wifi_testbed import WiFiTestbed
 
 
-@pytest.fixture(scope="module")
-def trained_box(estimator):
-    rng = np.random.default_rng(61)
+def _train_online(estimator, seed, **kwargs):
+    """An ExBox driven through bootstrap on the WiFi testbed, snapshotted
+    the moment it goes online."""
+    rng = np.random.default_rng(seed)
     testbed = WiFiTestbed()
     box = ExBox.with_defaults(
-        batch_size=15, min_bootstrap_samples=30, max_bootstrap_samples=60
+        batch_size=15, min_bootstrap_samples=30, max_bootstrap_samples=60, **kwargs
     )
     box.qoe_estimator = estimator
     client = 0
@@ -28,6 +29,11 @@ def trained_box(estimator):
         while len(box.active_flows) > 5:
             box.handle_departure(box.active_flows[0])
     return box
+
+
+@pytest.fixture(scope="module")
+def trained_box(estimator):
+    return _train_online(estimator, seed=61)
 
 
 class TestRoundtrip:
@@ -88,6 +94,50 @@ class TestRoundtrip:
         restored = loads_exbox(dumps_exbox(box))
         assert restored.admittance.phase is Phase.BOOTSTRAP
         assert restored.admittance.n_samples == 1
+
+    def test_classifier_settings_survive_roundtrip(self, estimator):
+        # A conservative middlebox (guard_margin > 0) must come back
+        # conservative: same settings, same verdicts, same margins.
+        from repro.core.excr import encode_event
+        from repro.traffic.arrival import FlowEvent
+
+        box = _train_online(
+            estimator, seed=63, guard_margin=0.5, cv_check_every=3, warm_start=False
+        )
+        restored = loads_exbox(dumps_exbox(box))
+        original, loaded = box.admittance, restored.admittance
+        assert loaded.guard_margin == pytest.approx(0.5)
+        assert loaded.cv_check_every == 3
+        assert loaded._learner.warm_start is False
+
+        rng = np.random.default_rng(64)
+        probes = [
+            encode_event(
+                FlowEvent(
+                    matrix_before=tuple(int(v) for v in rng.integers(0, 4, size=3)),
+                    app_class_index=int(rng.integers(3)),
+                    snr_level=0,
+                )
+            )
+            for _ in range(60)
+        ]
+        assert [original.classify(x) for x in probes] == [
+            loaded.classify(x) for x in probes
+        ]
+        assert [original.margin(x) for x in probes] == [
+            loaded.margin(x) for x in probes
+        ]
+
+    def test_snapshot_without_newer_settings_loads(self, trained_box):
+        import json
+
+        state = json.loads(dumps_exbox(trained_box))
+        for key in ("guard_margin", "cv_check_every", "warm_start"):
+            del state["admittance"][key]
+        restored = loads_exbox(json.dumps(state))
+        assert restored.admittance.guard_margin == pytest.approx(0.0)
+        assert restored.admittance.cv_check_every == 10
+        assert restored.admittance._learner.warm_start is True
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):

@@ -598,8 +598,8 @@ class TestObsCatalogueParsing:
             "exbox.handle_arrival",
             "admittance.margin",
             "latency.eval.precision",
-            "alert_fired",
-            "recorder_dump",
+            "phase_transition",
+            "revalidation_revoked",
         ):
             assert context.knows_obs_name(name), name
 

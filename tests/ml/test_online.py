@@ -156,18 +156,6 @@ class TestAmortizedKernelRefresh:
         self._feed(learner, 30, seed=25)  # past the refresh interval
         assert learner._scaler is not scaler_after_first
 
-    def test_refresh_schedule_independent_of_cache_flag(self):
-        runs = {}
-        for flag in (False, True):
-            learner = BatchOnlineSVM(batch_size=10, use_gram_cache=flag)
-            self._feed(learner, 150, seed=26)
-            runs[flag] = (
-                learner._samples_at_refresh,
-                learner._rows_at_refresh,
-                learner._scaler.mean_.tolist(),
-            )
-        assert runs[False] == runs[True]
-
     def test_samples_until_retrain_counts_down(self):
         learner = BatchOnlineSVM(batch_size=5)
         assert learner.samples_until_retrain == 5

@@ -201,75 +201,3 @@ class TestFlightRecorderWiring:
         )
         assert NULL_OBS.recorder.enabled is False
         assert len(NULL_OBS.recorder) == 0
-
-
-class TestAlertPostMortemFlow:
-    """The ISSUE acceptance demo: slow run -> alert -> dump -> diff."""
-
-    def test_slow_run_fires_alert_dumps_and_diffs(self):
-        from repro.obs import AlertEngine, ManualClock, rules_from_dict, snapshot
-        from repro.obs.diffing import diff_snapshots
-
-        rules = rules_from_dict(
-            {
-                "rules": [
-                    {
-                        "name": "decision-latency-slo",
-                        "metric": "latency.decision",
-                        "stat": "p99",
-                        "op": ">",
-                        "value": 0.05,
-                        "for_n_samples": 2,
-                    }
-                ]
-            }
-        )
-
-        def run(decision_seconds):
-            # Synthetic decision loop on a manual clock: each decision
-            # takes exactly `decision_seconds`, recorded per arrival.
-            clock = ManualClock()
-            obs = Obs.recording(clock=clock)
-            engine = AlertEngine(rules, obs=obs, dump_last_n=8)
-            for i in range(20):
-                with obs.span("latency.decision"):
-                    clock.advance(decision_seconds)
-                obs.recorder.record(
-                    matrix=(i % 3, 1, 0),
-                    app_class="video",
-                    snr_level=0,
-                    phase="online",
-                    admitted=i % 2 == 0,
-                    margin=0.2,
-                    elapsed_s=decision_seconds,
-                )
-                if (i + 1) % 5 == 0:  # batch-boundary checkpoint
-                    engine.evaluate()
-            return obs, engine
-
-        fast_obs, fast_engine = run(0.001)
-        assert fast_engine.fired == []
-
-        slow_obs, slow_engine = run(0.2)
-        # The rule held for 2 consecutive checkpoints, then fired once.
-        assert [e.rule for e in slow_engine.fired] == ["decision-latency-slo"]
-        event = slow_engine.fired[0]
-        assert event.observed > 0.05
-
-        # The firing dumped the post-mortem window as valid JSON-lines.
-        lines = event.dump.splitlines()
-        assert len(lines) == 8
-        for line in lines:
-            parsed = json.loads(line)
-            assert parsed["elapsed_s"] == pytest.approx(0.2)
-        assert slow_obs.events.of_type("alert_fired")
-        assert slow_obs.events.of_type("recorder_dump")
-
-        # And `obs diff` pins the regression on the latency histogram.
-        diff = diff_snapshots(
-            snapshot(fast_obs.registry), snapshot(slow_obs.registry)
-        )
-        (hist,) = [h for h in diff.histograms if h.changed]
-        assert hist.name == "latency.decision"
-        assert hist.ratio("p99") > 10
-        assert "latency.decision" in diff.render()
