@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import abc
+import functools
+from typing import Dict, Type
 
 from repro.wireless.qos import FlowQoS
 
@@ -30,15 +32,22 @@ class AppModel(abc.ABC):
         return f"{type(self).__name__}(metric={self.qoe_metric_name!r})"
 
 
-def app_model_for_class(app_class: str) -> AppModel:
-    """Default app model for a class name."""
+@functools.lru_cache(maxsize=None)
+def _registry() -> Dict[str, Type[AppModel]]:
+    """Class name -> default model type, built on first use (the model
+    modules import this one, so they cannot be imported at its top)."""
     from repro.apps.conferencing import ConferencingApp
     from repro.apps.streaming import StreamingApp
     from repro.apps.web import WebApp
     from repro.traffic.flows import CONFERENCING, STREAMING, WEB
 
-    models = {WEB: WebApp, STREAMING: StreamingApp, CONFERENCING: ConferencingApp}
+    return {WEB: WebApp, STREAMING: StreamingApp, CONFERENCING: ConferencingApp}
+
+
+def app_model_for_class(app_class: str) -> AppModel:
+    """Default app model for a class name (a fresh instance per call)."""
     try:
-        return models[app_class]()
+        model = _registry()[app_class]
     except KeyError:
         raise ValueError(f"unknown app class {app_class!r}") from None
+    return model()

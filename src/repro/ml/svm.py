@@ -283,8 +283,11 @@ class SVC:
         """
         n = alpha.shape[0]
         budget = self.max_iter
+        # Per-round work arrays, shared by every scan of this solve (a
+        # shrunken scan uses their leading entries).
+        work = np.empty((4, n))
         if not (self.shrinking and n > _SHRINK_MIN_ACTIVE):
-            self._rounds(alpha, errors, y, K, budget, eps)
+            self._rounds(alpha, errors, y, K, budget, eps, work)
             return errors
 
         period = max(50, min(n, 1000))
@@ -293,7 +296,9 @@ class SVC:
             a, e, yy, Kc = alpha, errors, y, K
             status = "budget"
             while budget > 0:
-                used, status = self._rounds(a, e, yy, Kc, min(period, budget), eps)
+                used, status = self._rounds(
+                    a, e, yy, Kc, min(period, budget), eps, work
+                )
                 budget -= used
                 if status != "budget":
                     break
@@ -328,6 +333,7 @@ class SVC:
         K: np.ndarray,
         max_rounds: int,
         eps: float,
+        work: np.ndarray,
     ) -> Tuple[int, str]:
         """Run up to ``max_rounds`` pair optimizations in place.
 
@@ -339,44 +345,66 @@ class SVC:
         The stopping rule is unchanged (the *maximal-violating* pair's
         gap below tolerance), so convergence means exactly what it did
         for the first-order scan. Up/low membership only changes at the
-        two touched indices, so the masks are maintained incrementally
-        instead of being rebuilt each round.
+        two touched indices, so the masks — and the 0/±inf penalties
+        that confine the extreme searches to them — are maintained
+        incrementally instead of being rebuilt each round. Each round's
+        vectors go into ``work`` (at least 4 rows of ``len(alpha)``).
 
         Returns the rounds consumed and why the scan stopped:
         ``"converged"`` (KKT gap below tolerance, or nothing movable),
         ``"stuck"`` (no candidate pair makes numerical progress) or
         ``"budget"`` (round cap reached)."""
         n = alpha.shape[0]
+        C_lo = self.C - eps
+        gap_tol = 2.0 * self.tol
         pos = y > 0
         neg = ~pos
-        bound_lo, bound_hi = alpha > eps, alpha < self.C - eps
+        bound_lo, bound_hi = alpha > eps, alpha < C_lo
         up = (pos & bound_hi) | (neg & bound_lo)
         low = (pos & bound_lo) | (neg & bound_hi)
+        # errors + up_pen is F over the up set and +inf elsewhere;
+        # errors + low_pen likewise with -inf outside the low set.
+        up_pen = np.where(up, 0.0, np.inf)
+        low_pen = np.where(low, 0.0, -np.inf)
         Kdiag = np.ascontiguousarray(K.diagonal())
+        f_up, f_low, diff, eta = work[:, :n]
+        gain = f_up  # f_up is spent once i is chosen
+        violating = np.empty(n, dtype=bool)
 
         def _refresh(t: int) -> None:
-            movable_lo, movable_hi = alpha[t] > eps, alpha[t] < self.C - eps
+            a_t = alpha.item(t)
+            movable_lo, movable_hi = a_t > eps, a_t < C_lo
             if pos[t]:
                 up[t], low[t] = movable_hi, movable_lo
             else:
                 up[t], low[t] = movable_lo, movable_hi
+            up_pen[t] = 0.0 if up[t] else np.inf
+            low_pen[t] = 0.0 if low[t] else -np.inf
 
         for used in range(max_rounds):
-            f_up = np.where(up, errors, np.inf)
-            f_low = np.where(low, errors, -np.inf)
-            i = int(np.argmin(f_up))
-            j = int(np.argmax(f_low))
+            np.add(errors, up_pen, out=f_up)
+            np.add(errors, low_pen, out=f_low)
+            i = int(f_up.argmin())
+            j = int(f_low.argmax())
             if not up[i] or not low[j]:
                 return used, "converged"  # one side fully at bounds
-            if errors[j] - errors[i] < 2.0 * self.tol:
+            e_i = errors.item(i)
+            if errors.item(j) - e_i < gap_tol:
                 return used, "converged"
             # Second-order choice of j: maximal decrease of the dual
-            # objective among low-set candidates that violate with i.
-            diff = errors - errors[i]
-            eta_vec = np.maximum(Kdiag + K[i, i] - 2.0 * K[i], 1e-12)
-            gain = np.where(low & (diff > 0.0), diff * diff / eta_vec, -np.inf)
-            j2 = int(np.argmax(gain))
-            if gain[j2] > 0.0:
+            # objective among low-set candidates that violate with i
+            # (F_j - F_i is -inf outside the low set).
+            np.subtract(f_low, e_i, out=diff)
+            np.greater(diff, 0.0, out=violating)
+            np.add(Kdiag, K.item(i, i), out=eta)
+            np.multiply(K[i], 2.0, out=gain)
+            np.subtract(eta, gain, out=eta)
+            np.maximum(eta, 1e-12, out=eta)
+            np.multiply(diff, diff, out=diff)
+            gain.fill(-np.inf)
+            np.divide(diff, eta, out=gain, where=violating)
+            j2 = int(gain.argmax())
+            if gain.item(j2) > 0.0:
                 j = j2
             if self._step(i, j, alpha, errors, y, K):
                 _refresh(i)
@@ -480,21 +508,25 @@ class SVC:
         y: np.ndarray,
         K: np.ndarray,
     ) -> bool:
-        """Optimize one multiplier pair; errors are bias-free f_raw - y."""
+        """Optimize one multiplier pair; errors are bias-free f_raw - y.
+
+        Scalars are read out as Python floats (cheaper than numpy
+        scalars; the arithmetic is the same IEEE double arithmetic)."""
         if i == j:
             return False
-        ai_old, aj_old = alpha[i], alpha[j]
-        yi, yj = y[i], y[j]
-        Ei, Ej = errors[i], errors[j]
+        C = self.C
+        ai_old, aj_old = alpha.item(i), alpha.item(j)
+        yi, yj = y.item(i), y.item(j)
+        Ei, Ej = errors.item(i), errors.item(j)
         if yi != yj:
             lo = max(0.0, aj_old - ai_old)
-            hi = min(self.C, self.C + aj_old - ai_old)
+            hi = min(C, C + aj_old - ai_old)
         else:
-            lo = max(0.0, ai_old + aj_old - self.C)
-            hi = min(self.C, ai_old + aj_old)
+            lo = max(0.0, ai_old + aj_old - C)
+            hi = min(C, ai_old + aj_old)
         if lo >= hi:
             return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
         if eta <= 1e-12:
             return False
         aj_new = aj_old + yj * (Ei - Ej) / eta

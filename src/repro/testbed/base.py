@@ -67,16 +67,6 @@ class EmulatedTestbed(abc.ABC):
         self.shaper = Shaper()
 
     # -- measurement -----------------------------------------------------
-    def _noisy(self, qos: FlowQoS, rng: Optional[np.random.Generator]) -> FlowQoS:
-        if self.qos_noise <= 0 or rng is None:
-            return qos
-        factor = max(1.0 + float(rng.normal(0.0, self.qos_noise)), 0.2)
-        return FlowQoS(
-            throughput_bps=qos.throughput_bps * factor,
-            delay_s=max(qos.delay_s / factor, 1e-4),
-            loss_rate=qos.loss_rate,
-        )
-
     def _offered(
         self, flow_specs: Sequence[Tuple[str, float]], start_id: int = 0
     ) -> List[OfferedFlow]:
@@ -113,12 +103,25 @@ class EmulatedTestbed(abc.ABC):
         offered = self._offered(flow_specs)
         background = self._offered(background_specs, start_id=len(offered))
         allocation = self._allocate(offered, background)
+        flows = offered + background
+        # Measurement noise: one relative factor per flow, drawn in flow
+        # order in a single call (the same stream as one draw per flow).
+        noise = (
+            rng.normal(0.0, self.qos_noise, size=len(flows)).tolist()
+            if self.qos_noise > 0 and rng is not None
+            else None
+        )
 
         records: List[FlowRecord] = []
-        for flow in offered + background:
-            qos = allocation[flow.flow_id]
-            qos = self.shaper.apply_to_qos(qos)
-            qos = self._noisy(qos, rng)
+        for k, flow in enumerate(flows):
+            qos = self.shaper.apply_to_qos(allocation[flow.flow_id])
+            if noise is not None:
+                factor = max(1.0 + noise[k], 0.2)
+                qos = FlowQoS(
+                    throughput_bps=qos.throughput_bps * factor,
+                    delay_s=max(qos.delay_s / factor, 1e-4),
+                    loss_rate=qos.loss_rate,
+                )
             app_model = app_model_for_class(flow.app_class)
             qoe = app_model.measure_qoe(qos)
             threshold = threshold_for_class(flow.app_class)

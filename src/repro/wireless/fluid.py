@@ -28,6 +28,7 @@ RTT, saturating at a bufferbloat-style cap once a queue overflows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Optional, Sequence
 
 from repro.wireless.phy import lte_cqi_for_snr, lte_efficiency_for_cqi, wifi_rate_for_snr
@@ -65,22 +66,33 @@ def _waterfill(demands: Sequence[float], costs: Sequence[float], budget: float) 
 
     Finds level ``T`` such that ``sum_i min(d_i, T) * c_i == budget`` and
     returns ``x_i = min(d_i, T)``; if the budget covers all demands, every
-    flow is satisfied. ``costs`` are resource units per bit/s.
+    flow is satisfied. ``costs`` are resource units per bit/s (positive).
+
+    The level is exact: walking the demands in ascending order, flows
+    below the level are served whole and the rest share what is left,
+    so ``T`` is the first ``(budget - spent) / weight`` that falls below
+    the next demand (``weight`` being the cost of the unserved flows).
+    When rounding leaves no such crossing — the budget falls short of
+    the total by a few ulps — every flow is effectively served and the
+    largest demand is the level.
     """
     if budget <= 0:
         return [0.0 for _ in demands]
     total_cost = sum(d * c for d, c in zip(demands, costs))
     if total_cost <= budget:
         return list(demands)
-    lo, hi = 0.0, max(demands)
-    for _ in range(60):  # bisection to far-below-float precision
-        mid = 0.5 * (lo + hi)
-        used = sum(min(d, mid) * c for d, c in zip(demands, costs))
-        if used > budget:
-            hi = mid
-        else:
-            lo = mid
-    level = 0.5 * (lo + hi)
+    order = sorted(range(len(demands)), key=lambda i: demands[i])
+    # weights[k]: cost of the flows from the k-th smallest demand upward,
+    # summed from the top so that every entry stays positive.
+    weights = list(accumulate(costs[i] for i in reversed(order)))[::-1]
+    level = max(demands)
+    spent = 0.0
+    for k, i in enumerate(order):
+        share = (budget - spent) / weights[k]
+        if share < demands[i]:
+            level = share
+            break
+        spent += demands[i] * costs[i]
     return [min(d, level) for d in demands]
 
 

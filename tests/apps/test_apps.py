@@ -119,3 +119,16 @@ class TestRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             app_model_for_class("gaming")
+
+    @pytest.mark.parametrize("app_class", [WEB, STREAMING, CONFERENCING])
+    def test_fresh_instance_per_call(self, app_class):
+        a = app_model_for_class(app_class)
+        b = app_model_for_class(app_class)
+        assert a is not b
+        assert type(a) is type(b)
+
+    def test_unknown_raises_after_lookups(self):
+        # The registry is built on first use; a miss must still raise.
+        app_model_for_class(WEB)
+        with pytest.raises(ValueError, match="gaming"):
+            app_model_for_class("gaming")

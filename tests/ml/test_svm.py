@@ -252,3 +252,152 @@ class TestShrinking:
         cold = SVC(C=10.0, shrinking=True).fit(X, y)
         warm = SVC(C=10.0, shrinking=True).fit(X, y, alpha_init=cold.alpha_all_)
         assert warm.score(X, y) >= cold.score(X, y) - 0.02
+
+
+class _ReferenceRoundSVC(SVC):
+    """SVC whose pair scan is the earlier, allocation-per-round solver:
+    ``np.where`` masks rebuilt every round, fresh temporaries for the
+    second-order gain, numpy scalars in the pair step. The lean round
+    must choose the same pairs in the same order, so every fit matches
+    this one bit for bit. ``stuck_scans`` counts entries into the
+    stuck-pair fallback."""
+
+    stuck_scans = 0
+
+    def _rounds(self, alpha, errors, y, K, max_rounds, eps, work=None):
+        n = alpha.shape[0]
+        pos = y > 0
+        neg = ~pos
+        bound_lo, bound_hi = alpha > eps, alpha < self.C - eps
+        up = (pos & bound_hi) | (neg & bound_lo)
+        low = (pos & bound_lo) | (neg & bound_hi)
+        Kdiag = np.ascontiguousarray(K.diagonal())
+
+        def _refresh(t):
+            movable_lo, movable_hi = alpha[t] > eps, alpha[t] < self.C - eps
+            if pos[t]:
+                up[t], low[t] = movable_hi, movable_lo
+            else:
+                up[t], low[t] = movable_lo, movable_hi
+
+        for used in range(max_rounds):
+            f_up = np.where(up, errors, np.inf)
+            f_low = np.where(low, errors, -np.inf)
+            i = int(np.argmin(f_up))
+            j = int(np.argmax(f_low))
+            if not up[i] or not low[j]:
+                return used, "converged"
+            if errors[j] - errors[i] < 2.0 * self.tol:
+                return used, "converged"
+            diff = errors - errors[i]
+            eta_vec = np.maximum(Kdiag + K[i, i] - 2.0 * K[i], 1e-12)
+            gain = np.where(low & (diff > 0.0), diff * diff / eta_vec, -np.inf)
+            j2 = int(np.argmax(gain))
+            if gain[j2] > 0.0:
+                j = j2
+            if self._step(i, j, alpha, errors, y, K):
+                _refresh(i)
+                _refresh(j)
+                continue
+            self.stuck_scans += 1
+            order = np.argsort(-f_low)
+            moved = False
+            for k in order[: min(10, n)]:
+                k = int(k)
+                if k != j and low[k] and self._step(i, k, alpha, errors, y, K):
+                    _refresh(i)
+                    _refresh(k)
+                    moved = True
+                    break
+            if not moved:
+                return used + 1, "stuck"
+        return max_rounds, "budget"
+
+    def _step(self, i, j, alpha, errors, y, K):
+        if i == j:
+            return False
+        ai_old, aj_old = alpha[i], alpha[j]
+        yi, yj = y[i], y[j]
+        Ei, Ej = errors[i], errors[j]
+        if yi != yj:
+            lo = max(0.0, aj_old - ai_old)
+            hi = min(self.C, self.C + aj_old - ai_old)
+        else:
+            lo = max(0.0, ai_old + aj_old - self.C)
+            hi = min(self.C, ai_old + aj_old)
+        if lo >= hi:
+            return False
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta <= 1e-12:
+            return False
+        aj_new = aj_old + yj * (Ei - Ej) / eta
+        aj_new = min(max(aj_new, lo), hi)
+        if abs(aj_new - aj_old) < 1e-7 * (aj_new + aj_old + 1e-7):
+            return False
+        ai_new = ai_old + yi * yj * (aj_old - aj_new)
+        di = yi * (ai_new - ai_old)
+        dj = yj * (aj_new - aj_old)
+        alpha[i], alpha[j] = ai_new, aj_new
+        errors += di * K[i] + dj * K[j]
+        return True
+
+
+def _duplicated_opposite_rows(n=120, seed=41):
+    """A noisy problem where a third of the rows reappear with the
+    opposite label: their kernel rows coincide, so eta is 0 for those
+    pairs and the solver must fall back to other partners."""
+    X, y = _linear_problem(n=n, seed=seed, noise=0.1)
+    dup = np.arange(0, n, 3)
+    return np.vstack([X, X[dup]]), np.concatenate([y, -y[dup]])
+
+
+class TestLeanRoundBitIdentity:
+    """The lean SMO round (penalty vectors, reused work arrays, Python-float
+    pair steps) is an implementation change only: fits must equal the
+    reference solver's exactly, dual vector and intercept alike."""
+
+    @staticmethod
+    def _both(X, y, alpha_init=None, **kwargs):
+        lean = SVC(**kwargs).fit(X, y, alpha_init=alpha_init)
+        ref = _ReferenceRoundSVC(**kwargs).fit(X, y, alpha_init=alpha_init)
+        return lean, ref
+
+    def _assert_identical(self, lean, ref):
+        assert np.array_equal(lean.alpha_all_, ref.alpha_all_)
+        assert lean.intercept_ == ref.intercept_  # repro: noqa[NUM001]
+
+    @pytest.mark.parametrize("shrinking", [True, False])
+    @pytest.mark.parametrize("n", [24, 300])
+    def test_cold_fits(self, shrinking, n):
+        from repro.ml.svm import _SHRINK_MIN_ACTIVE
+
+        X, y = _linear_problem(n=n, seed=40 + n, noise=0.1)
+        assert (n > _SHRINK_MIN_ACTIVE) == (n == 300)
+        lean, ref = self._both(X, y, C=10.0, shrinking=shrinking)
+        self._assert_identical(lean, ref)
+
+    @pytest.mark.parametrize("shrinking", [True, False])
+    def test_warm_fits(self, shrinking):
+        X, y = _linear_problem(n=260, seed=42, noise=0.1)
+        first = SVC(C=10.0, shrinking=shrinking).fit(X[:200], y[:200])
+        # The next batch's warm start: old duals plus zeros for new rows,
+        # and one relabelled row so the equality repair runs.
+        y2 = y.copy()
+        y2[5] = -y2[5]
+        alpha_init = np.concatenate([first.alpha_all_, np.zeros(60)])
+        lean, ref = self._both(
+            X, y2, alpha_init=alpha_init, C=10.0, shrinking=shrinking
+        )
+        self._assert_identical(lean, ref)
+
+    @pytest.mark.parametrize("shrinking", [True, False])
+    def test_stuck_pair_fallback(self, shrinking):
+        X, y = _duplicated_opposite_rows()
+        lean, ref = self._both(X, y, C=10.0, shrinking=shrinking)
+        assert ref.stuck_scans > 0
+        self._assert_identical(lean, ref)
+
+    def test_budget_cut_mid_scan(self):
+        X, y = _linear_problem(n=200, seed=43, noise=0.1)
+        lean, ref = self._both(X, y, C=10.0, max_iter=37)
+        self._assert_identical(lean, ref)

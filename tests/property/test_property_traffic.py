@@ -8,9 +8,28 @@ from repro.traffic.livelab import AppSession, LiveLabSynthesizer
 from repro.traffic.packets import Packet, PacketTrace
 from repro.wireless.fluid import FluidLTECell, FluidWiFiCell, OfferedFlow, _waterfill
 from repro.wireless.phy import lte_cqi_for_snr, wifi_rate_for_snr
+from tests.wireless.waterfill_reference import bisection_waterfill
 
 demands = st.lists(st.floats(1e3, 1e8), min_size=1, max_size=12)
 snrs = st.floats(-10.0, 60.0)
+
+
+@st.composite
+def waterfill_instances(draw):
+    """(demands, costs, budget): up to 40 flows, demands drawn from a
+    few shared values (ties) or freely, unit or per-bit airtime costs,
+    budget a fraction of the total that may exceed it."""
+    n = draw(st.integers(1, 40))
+    shared = draw(st.lists(st.floats(1e4, 1e8), min_size=1, max_size=3))
+    ds = draw(
+        st.lists(st.sampled_from(shared) | st.floats(1e4, 1e8), min_size=n, max_size=n)
+    )
+    if draw(st.booleans()):
+        costs = [1.0] * n
+    else:
+        costs = draw(st.lists(st.floats(1e-9, 1e-6), min_size=n, max_size=n))
+    total = sum(d * c for d, c in zip(ds, costs))
+    return ds, costs, total * draw(st.floats(1e-3, 1.2))
 
 
 class TestWaterfillProperties:
@@ -40,6 +59,26 @@ class TestWaterfillProperties:
         squeezed = [x for x, d in zip(alloc, ds) if x < d * (1 - 1e-6)]
         if len(squeezed) >= 2:
             assert max(squeezed) - min(squeezed) < 1e-3 * max(squeezed)
+
+
+    @given(waterfill_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bisection_reference(self, instance):
+        ds, costs, budget = instance
+        alloc = _waterfill(ds, costs, budget)
+        ref = bisection_waterfill(ds, costs, budget)
+        for x, r in zip(alloc, ref):
+            assert abs(x - r) <= 1e-11 * r
+
+    @given(waterfill_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_squeezed_allocation_spends_the_budget(self, instance):
+        ds, costs, budget = instance
+        alloc = _waterfill(ds, costs, budget)
+        if all(x == d for x, d in zip(alloc, ds)):
+            return  # the budget covers every demand
+        used = sum(x * c for x, c in zip(alloc, costs))
+        assert abs(used - budget) <= 1e-12 * budget
 
 
 class TestFluidCellProperties:

@@ -1,5 +1,6 @@
 """Tests for the emulated WiFi and LTE testbeds."""
 
+import numpy as np
 import pytest
 
 from repro.netem.shaping import Shaper
@@ -94,3 +95,41 @@ class TestLTETestbed:
         wifi_hit = wifi_mixed.records[0].qoe - wifi_clean.records[0].qoe
         lte_hit = lte_mixed.records[0].qoe - lte_clean.records[0].qoe
         assert lte_hit < wifi_hit
+
+
+class TestMeasurementNoiseStream:
+    """``run_flows`` draws one noise factor per measured flow, in flow
+    order; the caller's generator must end up exactly where n scalar
+    ``normal`` draws would leave it."""
+
+    @pytest.mark.parametrize("testbed_cls", [WiFiTestbed, LTETestbed])
+    @pytest.mark.parametrize("n_flows, n_background", [(1, 0), (5, 0), (3, 2)])
+    def test_generator_advances_by_one_draw_per_flow(
+        self, testbed_cls, n_flows, n_background
+    ):
+        testbed = testbed_cls()
+        specs = [(WEB, 30.0), (STREAMING, 30.0), (CONFERENCING, 30.0)] * 2
+        rng = np.random.default_rng(21)
+        testbed.run_flows(
+            specs[:n_flows], rng=rng, background_specs=specs[:n_background]
+        )
+        expected = np.random.default_rng(21)
+        for _ in range(n_flows + n_background):
+            expected.normal(0.0, testbed.qos_noise)
+        assert rng.random() == expected.random()  # repro: noqa[NUM001]
+
+    def test_noise_factors_follow_flow_order(self):
+        specs = [(WEB, 30.0), (STREAMING, 30.0), (CONFERENCING, 30.0)]
+        clean = WiFiTestbed(qos_noise=0.0).run_flows(specs)
+        noisy = WiFiTestbed(qos_noise=0.03).run_flows(
+            specs, rng=np.random.default_rng(22)
+        )
+        draws = np.random.default_rng(22)
+        for c, n in zip(clean.records, noisy.records):
+            factor = max(1.0 + float(draws.normal(0.0, 0.03)), 0.2)
+            assert n.qos.throughput_bps == c.qos.throughput_bps * factor  # repro: noqa[NUM001]
+
+    def test_noise_free_run_leaves_generator_untouched(self):
+        rng = np.random.default_rng(23)
+        WiFiTestbed(qos_noise=0.0).run_flows([(WEB, 30.0)] * 3, rng=rng)
+        assert rng.random() == np.random.default_rng(23).random()  # repro: noqa[NUM001]

@@ -1,5 +1,8 @@
 """Tests for the fluid capacity-sharing models."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.wireless.fluid import FluidLTECell, FluidWiFiCell, OfferedFlow, _waterfill
@@ -38,6 +41,48 @@ class TestWaterfill:
 
     def test_zero_budget(self):
         assert _waterfill([5.0], [1.0], 0.0) == [0.0]
+
+
+def _random_instance(rng):
+    """Up to 40 flows; demands with ties, either unit costs or per-bit
+    airtime costs."""
+    n = int(rng.integers(1, 41))
+    base = 10 ** rng.uniform(4, 8, size=3)
+    free = 10 ** rng.uniform(4, 8, size=n)
+    demands = np.where(rng.random(n) < 0.3, rng.choice(base, size=n), free)
+    if rng.random() < 0.3:
+        costs = np.ones(n)
+    else:
+        costs = 10 ** rng.uniform(-9, -6, size=n)
+    return demands.tolist(), costs.tolist()
+
+
+class TestExactWaterfill:
+    @pytest.mark.parametrize("shortfall", ["one_ulp", "1e-15"])
+    def test_budget_a_hair_short_is_never_all_zero(self, shortfall):
+        # When the budget misses the total by an ulp or so, rounding can
+        # leave the sorted walk without a crossing; the level must then
+        # be the largest demand (everyone served), not an untouched zero.
+        rng = np.random.default_rng(9)
+        fallbacks = 0
+        for _ in range(2000):
+            demands, costs = _random_instance(rng)
+            total = sum(d * c for d, c in zip(demands, costs))
+            if shortfall == "one_ulp":
+                budget = math.nextafter(total, 0.0)
+            else:
+                budget = total * (1 - 1e-15)
+            alloc = _waterfill(demands, costs, budget)
+            assert any(x > 0.0 for x in alloc)
+            used = sum(x * c for x, c in zip(alloc, costs))
+            assert used == pytest.approx(budget, rel=1e-12, abs=0.0)
+            fallbacks += alloc == demands
+        if shortfall == "one_ulp":
+            assert fallbacks > 0  # the no-crossing case was exercised
+
+    def test_ties_share_one_level(self):
+        alloc = _waterfill([4.0, 4.0, 4.0, 1.0], [1.0] * 4, 7.0)
+        assert alloc == [2.0, 2.0, 2.0, 1.0]
 
 
 class TestFluidWiFi:
