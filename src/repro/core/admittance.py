@@ -18,7 +18,7 @@ drifting network, Figure 11).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -261,24 +261,31 @@ class AdmittanceClassifier:
     # ------------------------------------------------------------------
     # Online phase
     # ------------------------------------------------------------------
-    def classify(self, x: np.ndarray) -> int:
-        """+1 (admissible) or -1 (inadmissible) for an encoded arrival.
+    def _admits(self, margin: Any) -> Any:
+        """The admission rule, for one margin or an array of them: the
+        margin reaches ``guard_margin`` (with the paper's 0, its sign)."""
+        return margin >= self.guard_margin
 
-        With a non-zero ``guard_margin`` the decision is thresholded on
-        the SVM margin rather than its sign.
-        """
+    def _online_margin(self, x: np.ndarray) -> float:
         if self._phase is not Phase.ONLINE:
             raise RuntimeError("classifier is still bootstrapping")
-        # Config sentinel set in __init__, never produced by arithmetic.
-        if self.guard_margin == 0.0:  # repro: noqa[NUM001]
-            return int(self._learner.predict_one(x))
-        return 1 if self._learner.margin_one(x) >= self.guard_margin else -1
+        return self._learner.margin_one(x)
+
+    def classify_with_margin(self, x: np.ndarray) -> Tuple[int, float]:
+        """Verdict (+1/-1, as :meth:`classify`) and margin (as
+        :meth:`margin`, observed once in the ``admittance.margin``
+        histogram) of an encoded arrival, from one SVM evaluation."""
+        value = self.margin(x)
+        return (1 if self._admits(value) else -1), value
+
+    def classify(self, x: np.ndarray) -> int:
+        """+1 (admissible) or -1 (inadmissible) for an encoded arrival:
+        whether its SVM margin reaches ``guard_margin``."""
+        return 1 if self._admits(self._online_margin(x)) else -1
 
     def margin(self, x: np.ndarray) -> float:
         """SVM margin of an encoded arrival (network selection)."""
-        if self._phase is not Phase.ONLINE:
-            raise RuntimeError("classifier is still bootstrapping")
-        value = self._learner.margin_one(x)
+        value = self._online_margin(x)
         self.obs.histogram("admittance.margin", buckets=MARGIN_BUCKETS).observe(
             value
         )
@@ -294,11 +301,7 @@ class AdmittanceClassifier:
         """
         if self._phase is not Phase.ONLINE:
             raise RuntimeError("classifier is still bootstrapping")
-        margins = self._learner.decision_function(X)
-        # Config sentinel set in __init__, never produced by arithmetic.
-        if self.guard_margin == 0.0:  # repro: noqa[NUM001]
-            return np.where(margins >= 0, 1, -1)
-        return np.where(margins >= self.guard_margin, 1, -1)
+        return np.where(self._admits(self._learner.decision_function(X)), 1, -1)
 
     def margin_batch(self, X: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`margin` over rows of ``X``."""

@@ -187,9 +187,12 @@ class ExBox:
             if self.admittance.is_online:
                 x = encode_event(event)
                 with self.obs.span("exbox.decide"):
-                    decision.margin = self.admittance.margin(x)
-                    # classify() applies the operator's guard margin, if any.
-                    decision.admitted = self.admittance.classify(x) == 1
+                    # One SVM evaluation: the verdict applies the
+                    # operator's guard margin to the recorded margin.
+                    verdict, decision.margin = (
+                        self.admittance.classify_with_margin(x)
+                    )
+                    decision.admitted = verdict == 1
 
             if decision.admitted:
                 flow = Flow(

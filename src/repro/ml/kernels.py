@@ -17,6 +17,18 @@ from a single full call. With per-dimension accumulation,
 whether computed alone, inside a block, or as part of the full matrix.
 :class:`repro.ml.gram.GramCache` relies on this to append rows and slice
 evictions without ever diverging from a from-scratch computation.
+
+Row forms
+---------
+The built-in kernels also offer ``row(ZT, x)``: the Gram column
+``k(Z, x[None])[:, 0]`` of one query row against ``Z``, computed on the
+transposed copy ``ZT = Z.T`` (shape ``(d, m)``, C-contiguous) that a
+fitted SVC keeps of its support vectors. It is the single-decision
+path: one ``(d, m)`` temporary instead of ``d`` sliced ones. Each entry
+is the same sum of the same per-dimension terms, added in the same
+dimension order as the Gram loop (``D[0] + D[1] + ...`` with in-place
+adds, never ``np.add.reduce``, which may reassociate), so the row form
+is entry-exact: ``np.array_equal(k.row(Z.T, x), k(Z, x[None])[:, 0])``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,8 @@ __all__ = [
     "pairwise_dot",
     "pairwise_sq_dists",
     "resolve_kernel",
+    "row_dot",
+    "row_sq_dists",
 ]
 
 #: What the SVM actually needs: any Gram-matrix callable.
@@ -73,6 +87,36 @@ def pairwise_sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _sum_dims(D: np.ndarray) -> np.ndarray:
+    """``D[0] + D[1] + ... + D[d-1]`` accumulated in place into ``D[0]``,
+    in dimension order — the Gram loops' per-entry summation order."""
+    acc: np.ndarray = D[0]
+    for j in range(1, D.shape[0]):
+        acc += D[j]
+    return acc
+
+
+def row_dot(ZT: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``pairwise_dot(Z, x[None])[:, 0]`` from ``ZT = Z.T`` (entry-exact).
+
+    The Gram loop starts from a zero accumulator; ``0.0 + p`` differs
+    from ``p`` only for ``p = -0.0``, so the first term gets that same
+    ``+ 0.0``.
+    """
+    D = ZT * x[:, None]
+    D[0] += 0.0
+    return _sum_dims(D)
+
+
+def row_sq_dists(ZT: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``pairwise_sq_dists(Z, x[None])[:, 0]`` from ``ZT = Z.T``
+    (entry-exact). Squares are never ``-0.0``, so the Gram loop's zero
+    start changes no entry and is left out."""
+    D = ZT - x[:, None]
+    D *= D
+    return _sum_dims(D)
+
+
 class LinearKernel:
     """Inner-product kernel ``k(x, z) = x . z``."""
 
@@ -82,6 +126,10 @@ class LinearKernel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return pairwise_dot(X, Z)
+
+    def row(self, ZT: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row form (see the module docstring)."""
+        return row_dot(ZT, x)
 
     def __repr__(self) -> str:
         return "LinearKernel()"
@@ -135,6 +183,16 @@ class RBFKernel:
         np.multiply(sq, -gamma, out=sq)
         return np.exp(sq, out=sq)
 
+    def row(self, ZT: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row form (see the module docstring). Takes a concrete gamma
+        only: a fitted SVC holds its frozen kernel, and resolving
+        ``"scale"`` here would be a second resolution path."""
+        if isinstance(self.gamma, str):
+            raise ValueError("the row form needs a frozen gamma")
+        sq = row_sq_dists(ZT, x)
+        np.multiply(sq, -float(self.gamma), out=sq)
+        return np.exp(sq, out=sq)
+
     def __repr__(self) -> str:
         return f"RBFKernel(gamma={self.gamma!r})"
 
@@ -160,6 +218,10 @@ class PolynomialKernel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return (pairwise_dot(X, Z) + self.coef0) ** self.degree
+
+    def row(self, ZT: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row form (see the module docstring)."""
+        return (row_dot(ZT, x) + self.coef0) ** self.degree
 
     def __repr__(self) -> str:
         return f"PolynomialKernel(degree={self.degree}, coef0={self.coef0})"

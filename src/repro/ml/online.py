@@ -307,7 +307,7 @@ class BatchOnlineSVM:
         return self._model.predict(self._prepare(X))
 
     def predict_one(self, x: ArrayLike) -> float:
-        return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+        return 1.0 if self.margin_one(x) >= 0 else -1.0
 
     def decision_function(self, X: ArrayLike) -> np.ndarray:
         if self._model is None:
@@ -315,7 +315,20 @@ class BatchOnlineSVM:
         return self._model.decision_function(self._prepare(X))
 
     def margin_one(self, x: ArrayLike) -> float:
-        """SVM margin for one point (used for network selection)."""
-        return float(
-            self.decision_function(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-        )
+        """SVM margin for one point: ``decision_function([x])[0]``,
+        bit-identical, on the SVC's single-row path. The 1-D row is
+        scaled directly (the same elementwise ``(x - mean) / scale`` as
+        the scaler's 2-D transform)."""
+        model = self._model
+        if model is None:
+            raise RuntimeError("model has not been trained yet")
+        row = np.asarray(x, dtype=float).ravel()
+        scaler = self._scaler
+        if scaler is not None:
+            mean, scale = scaler.mean_, scaler.scale_
+            if mean is None or scale is None:
+                raise RuntimeError("scaler must be fitted before transform")
+            row = (row - mean) / scale
+        if isinstance(model, SVC):
+            return model.decision_row(row)
+        return float(model.decision_function(row[None])[0])

@@ -78,6 +78,8 @@ class SVC:
     _alpha: np.ndarray
     _sv_X: np.ndarray
     _sv_y: np.ndarray
+    _dual: np.ndarray
+    _sv_T: np.ndarray
     _alpha_all_: np.ndarray
     _b: float
     _fit_kernel: Kernel
@@ -168,6 +170,7 @@ class SVC:
             self._sv_y = np.zeros(0)
             self._alpha_all_ = np.zeros(X.shape[0])
             self._b = 0.0
+            self._store_inference_products()
             self._fitted = True
             return self
 
@@ -176,11 +179,19 @@ class SVC:
         K = self._gram_for_fit(X, gram)
         with self.obs.span("svm.fit"):
             self._smo(X, y, K, alpha0)
+        self._store_inference_products()
         self._fitted = True
         self.obs.counter("svm.fits").inc()
         self.obs.gauge("svm.train_samples").set(X.shape[0])
         self.obs.gauge("svm.support_vectors").set(self._sv_X.shape[0])
         return self
+
+    def _store_inference_products(self) -> None:
+        """Fit-time products every decision reuses: the dual
+        coefficients ``alpha_i * y_i`` and a C-contiguous ``(d, n_sv)``
+        transpose of the support vectors for the kernels' row form."""
+        self._dual = self._alpha * self._sv_y
+        self._sv_T = np.ascontiguousarray(self._sv_X.T)
 
     def _gram_for_fit(
         self, X: np.ndarray, gram: Optional[ArrayLike]
@@ -567,7 +578,34 @@ class SVC:
         # resolved against the training rows, not the support vectors,
         # so train-time and inference-time Grams agree on the bandwidth.
         K = self._fit_kernel(self._sv_X, X)
-        return np.asarray((self._alpha * self._sv_y) @ K + self._b)
+        return np.asarray(self._dual @ K + self._b)
+
+    def decision_row(self, x: np.ndarray) -> float:
+        """``decision_function(x[None])[0]`` for one 1-D float row.
+
+        The single-decision path: no input coercion, the fit-time dual
+        coefficients, and the kernel's entry-exact row form on the
+        transposed support vectors (kernels without one, such as user
+        callables, get the Gram call). The ``(n_sv,) @ (n_sv, 1)``
+        product is the one :meth:`decision_function` makes, so the
+        margin is bit-identical to it.
+        """
+        if not self._fitted:
+            raise NotFittedError("SVC must be fitted before inference")
+        if x.shape != (self._n_features,):
+            raise ValueError(
+                f"expected a row of {self._n_features} features, got shape {x.shape}"
+            )
+        if self._constant is not None:
+            return self._constant
+        if self._alpha.shape[0] == 0:
+            return self._b
+        row = getattr(self._fit_kernel, "row", None)
+        if row is None:
+            K = self._fit_kernel(self._sv_X, x[None])
+        else:
+            K = row(self._sv_T, x).reshape(-1, 1)
+        return float((self._dual @ K).item() + self._b)
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         """Predict labels in {-1, +1} for each row of ``X``."""

@@ -23,6 +23,9 @@ class _StubAdmittance:
     def classify(self, x):
         return 1 if self.margin(x) >= 0 else -1
 
+    def classify_with_margin(self, x):
+        return self.classify(x), self.margin(x)
+
     def observe_online(self, x, y):
         return False
 

@@ -169,6 +169,9 @@ class _CapacityStub:
     def classify(self, x):
         return 1 if self._weighted(x) <= self.cap else -1
 
+    def classify_with_margin(self, x):
+        return self.classify(x), self.margin(x)
+
     def instrument(self, obs):
         pass
 
@@ -247,3 +250,97 @@ class TestDemotionBookkeeping:
         assert sorted(event["flows"]) == sorted(
             f.flow_id for f in box.background_flows
         )
+
+
+class TestOneEvaluationPerDecision:
+    """An online arrival costs exactly one single-row SVM evaluation;
+    its verdict and its recorded margin come from that one value."""
+
+    N_ARRIVALS = 150
+
+    def _box(self, estimator, obs=None, **kwargs):
+        box = ExBox.with_defaults(
+            batch_size=10,
+            min_bootstrap_samples=30,
+            max_bootstrap_samples=60,
+            cv_jobs=1,
+            obs=obs,
+            **kwargs,
+        )
+        box.qoe_estimator = estimator
+        return box
+
+    def _serve(self, box, monkeypatch, seed=36):
+        """Seeded stream through bootstrap and online. Returns each
+        decision with the row and batch evaluations inside its
+        handle_arrival, and (online) what ``classify`` said about the
+        same arrival before the outcome could retrain the model."""
+        from repro.core.excr import encode_event
+        from repro.ml.svm import SVC
+        from repro.traffic.flows import APP_CLASSES
+
+        calls = {"row": 0, "batch": 0}
+        row, batch = SVC.decision_row, SVC.decision_function
+
+        def counted_row(self, x):
+            calls["row"] += 1
+            return row(self, x)
+
+        def counted_batch(self, X):
+            calls["batch"] += 1
+            return batch(self, X)
+
+        monkeypatch.setattr(SVC, "decision_row", counted_row)
+        monkeypatch.setattr(SVC, "decision_function", counted_batch)
+        rng = np.random.default_rng(seed)
+        testbed = WiFiTestbed()
+        served = []
+        for i in range(self.N_ARRIVALS):
+            cls = APP_CLASSES[int(rng.integers(3))]
+            before = dict(calls)
+            decision = box.handle_arrival(FlowRequest(client_id=i, app_class=cls))
+            rows = calls["row"] - before["row"]
+            batches = calls["batch"] - before["batch"]
+            verdict = None
+            if decision.phase is Phase.ONLINE:
+                verdict = box.admittance.classify(encode_event(decision.event))
+            served.append((decision, rows, batches, verdict))
+            specs = [(f.app_class, f.snr_db) for f in box.active_flows]
+            box.report_outcome(decision, testbed.run_flows(specs, rng=rng))
+            # Random departures keep the matrix moving across the boundary.
+            keep = int(rng.integers(0, 6))
+            while len(box.active_flows) > keep:
+                box.handle_departure(box.active_flows[0])
+        return served
+
+    def test_one_row_evaluation_per_online_arrival(self, estimator, monkeypatch):
+        served = self._serve(self._box(estimator), monkeypatch)
+        online = [s for s in served if s[0].phase is Phase.ONLINE]
+        bootstrap = [s for s in served if s[0].phase is Phase.BOOTSTRAP]
+        assert len(online) >= 60 and bootstrap
+        assert all((rows, batches) == (1, 0) for _, rows, batches, _ in online)
+        assert all((rows, batches) == (0, 0) for _, rows, batches, _ in bootstrap)
+
+    @pytest.mark.parametrize("guard", [0.5, -0.5])
+    def test_verdict_is_margin_against_guard(self, estimator, monkeypatch, guard):
+        box = self._box(estimator, guard_margin=guard)
+        online = [
+            (decision, verdict)
+            for decision, _, _, verdict in self._serve(box, monkeypatch)
+            if decision.phase is Phase.ONLINE
+        ]
+        # Some margins fall between 0 and the guard, where the guard
+        # and the sign disagree.
+        assert any(min(0.0, guard) <= d.margin < max(0.0, guard) for d, _ in online)
+        for decision, verdict in online:
+            assert decision.admitted == (decision.margin >= guard) == (verdict == 1)
+
+    def test_margin_histogram_counts_online_arrivals(self, estimator, monkeypatch):
+        from repro.core.admittance import MARGIN_BUCKETS
+        from repro.obs import Obs
+
+        obs = Obs.recording()
+        served = self._serve(self._box(estimator, obs=obs), monkeypatch)
+        n_online = sum(d.phase is Phase.ONLINE for d, _, _, _ in served)
+        hist = obs.histogram("admittance.margin", buckets=MARGIN_BUCKETS)
+        assert n_online > 0 and hist.count == n_online

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ml import kernels as kernels_module
 from repro.ml.kernels import LinearKernel, PolynomialKernel, RBFKernel, resolve_kernel
 
 
@@ -101,3 +104,101 @@ class TestResolveKernel:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             resolve_kernel("sigmoid")
+
+
+ROW_KERNELS = {
+    "rbf": RBFKernel(gamma=0.3),
+    "linear": LinearKernel(),
+    "poly": PolynomialKernel(degree=3, coef0=1.0),
+}
+
+
+def _row_cases():
+    """Seeded (Z, x) pairs: d in {1, 4, 11}, 1 to 300 rows, with the
+    query and the rows at 1e-3, 1 and 1e3 scale."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for d in (1, 4, 11):
+            for m in (1, 2, 7, 60, 300):
+                for scale in (1e-3, 1.0, 1e3):
+                    yield rng.normal(size=(m, d)) * scale, rng.normal(size=d) * scale
+
+
+def _row_mismatches(kernel):
+    """Cases where the row form is not entry-for-entry the Gram column."""
+    return sum(
+        not np.array_equal(
+            kernel.row(np.ascontiguousarray(Z.T), x), kernel(Z, x[None])[:, 0]
+        )
+        for Z, x in _row_cases()
+    )
+
+
+class TestRowForm:
+    """``k.row(Z.T, x)`` is the single-decision path of a fitted SVC; it
+    must be bit-identical to the Gram column ``k(Z, x[None])[:, 0]``."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+    def test_entry_exact_on_seeded_grid(self, name):
+        assert _row_mismatches(ROW_KERNELS[name]) == 0
+
+    @pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 4, 11]),
+        m=st.integers(1, 300),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_entry_exact_property(self, name, seed, d, m, scale):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(m, d)) * scale
+        x = rng.normal(size=d) * scale
+        kernel = ROW_KERNELS[name]
+        row = kernel.row(np.ascontiguousarray(Z.T), x)
+        assert row.shape == (m,)
+        assert np.array_equal(row, kernel(Z, x[None])[:, 0])
+
+    def test_signed_zero_products_match_the_zero_start(self):
+        # 0.0 * -1.0 is -0.0; the Gram loop's zero start turns it into
+        # +0.0, and the row form must too.
+        Z = np.array([[0.0], [-1.0]])
+        x = np.array([-0.0])
+        row = LinearKernel().row(np.ascontiguousarray(Z.T), x)
+        gram = LinearKernel()(Z, x[None])[:, 0]
+        assert row.tobytes() == gram.tobytes()
+
+    def test_rbf_row_needs_frozen_gamma(self):
+        with pytest.raises(ValueError, match="frozen gamma"):
+            RBFKernel().row(np.zeros((2, 3)), np.zeros(2))
+        Z = np.random.default_rng(3).normal(size=(5, 2))
+        frozen = RBFKernel().frozen(Z)
+        x = np.array([0.1, -0.2])
+        assert np.array_equal(
+            frozen.row(np.ascontiguousarray(Z.T), x), frozen(Z, x[None])[:, 0]
+        )
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda D: np.add.reduce(D, axis=0),
+            lambda D: _ordered(D, 1),
+            lambda D: _ordered(D, D.shape[0] - 1),
+        ],
+        ids=["add-reduce", "from-dim-1", "from-last-dim"],
+    )
+    @pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+    def test_reordered_sums_are_caught(self, monkeypatch, mutant, name):
+        # The grid above must be able to tell a reassociated or
+        # reordered dimension sum from the Gram loop's order.
+        monkeypatch.setattr(kernels_module, "_sum_dims", mutant)
+        assert _row_mismatches(ROW_KERNELS[name]) > 0
+
+
+def _ordered(D, start):
+    """Sum over dimensions starting from ``start`` and wrapping around."""
+    d = D.shape[0]
+    acc = D[start % d].copy()
+    for k in range(1, d):
+        acc += D[(start + k) % d]
+    return acc

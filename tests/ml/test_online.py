@@ -106,6 +106,30 @@ class TestRetraining:
         assert learner.margin_one(point) > 0
         assert learner.predict_one(point) == pytest.approx(1.0)
 
+    def test_margin_one_is_the_batch_margin(self):
+        # The single-row path scales the 1-D row itself and evaluates
+        # the row-form kernel; it must agree bit for bit with the
+        # scaler + Gram path on the same one-row batch (a larger batch
+        # may round the dual product differently), and predict_one
+        # with predict.
+        learner = BatchOnlineSVM(batch_size=10)
+        _feed_linear(learner, 80, seed=8)
+        for x in np.random.default_rng(8).uniform(-3, 3, size=(50, 2)):
+            margin = learner.decision_function(x[None])[0]
+            assert learner.margin_one(x) == margin
+            assert learner.margin_one(list(x)) == margin
+            assert learner.predict_one(x) == learner.predict(x[None])[0]
+
+    def test_margin_one_with_a_non_svc_model(self):
+        from repro.ml.tree import DecisionTreeClassifier
+
+        learner = BatchOnlineSVM(
+            batch_size=10, model_factory=lambda: DecisionTreeClassifier(max_depth=3)
+        )
+        _feed_linear(learner, 40, seed=9)
+        x = np.array([0.7, -0.2])
+        assert learner.margin_one(x) == learner.decision_function(x[None])[0]
+
     def test_is_trained_flag(self):
         learner = BatchOnlineSVM(batch_size=5)
         assert not learner.is_trained

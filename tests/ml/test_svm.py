@@ -1,8 +1,13 @@
 """Tests for the from-scratch SMO-trained SVC."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ml.kernels import PolynomialKernel
 from repro.ml.svm import NotFittedError, SVC
 
 
@@ -401,3 +406,99 @@ class TestLeanRoundBitIdentity:
         X, y = _linear_problem(n=200, seed=43, noise=0.1)
         lean, ref = self._both(X, y, C=10.0, max_iter=37)
         self._assert_identical(lean, ref)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_model(kernel, d, n, random_labels=False):
+    """A fitted SVC for the row-path tests; small C keeps most training
+    rows as support vectors (2 up to ~300)."""
+    rng = np.random.default_rng(100 * d + n)
+    X = rng.normal(size=(n, d))
+    if random_labels:
+        y = rng.choice([-1.0, 1.0], size=n)
+    else:
+        y = np.where(X[:, 0] + rng.normal(scale=0.7, size=n) > 0, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    spec = PolynomialKernel(degree=3) if kernel == "poly" else kernel
+    return SVC(C=0.05, kernel=spec).fit(X, y)
+
+
+_ROW_SHAPES = [(n, False) for n in (2, 9, 60, 300)] + [(300, True)]
+
+
+def _assert_row_exact(model, X):
+    for x in X:
+        assert model.decision_row(x) == model.decision_function(x[None])[0]
+
+
+class TestDecisionRow:
+    """``decision_row`` is the single-decision path; it must return the
+    batched ``decision_function`` margin bit for bit."""
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly"])
+    @pytest.mark.parametrize("d", [1, 4, 11])
+    @pytest.mark.parametrize("n,random_labels", _ROW_SHAPES)
+    def test_matches_decision_function(self, kernel, d, n, random_labels):
+        model = _row_model(kernel, d, n, random_labels)
+        assert 2 <= model.n_support_ <= n
+        rng = np.random.default_rng(d + n)
+        for scale in (1e-3, 1.0, 1e3):
+            _assert_row_exact(model, rng.normal(size=(12, d)) * scale)
+        # Training rows themselves, support vectors included.
+        _assert_row_exact(model, model.support_vectors_[:12])
+
+    def test_spans_two_to_about_three_hundred_support_vectors(self):
+        counts = [
+            _row_model("rbf", d, n, rl).n_support_
+            for d in (1, 4, 11)
+            for n, rl in _ROW_SHAPES
+        ]
+        assert min(counts) == 2 and max(counts) >= 290
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 4, 11]),
+        shape=st.sampled_from(_ROW_SHAPES),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_decision_function_property(self, kernel, seed, d, shape, scale):
+        model = _row_model(kernel, d, *shape)
+        x = np.random.default_rng(seed).normal(size=d) * scale
+        assert model.decision_row(x) == model.decision_function(x[None])[0]
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_constant_model(self, label):
+        model = SVC().fit(np.random.default_rng(1).normal(size=(5, 4)), [label] * 5)
+        x = np.array([0.3, -1.0, 2.0, 0.0])
+        assert model.decision_row(x) == label
+        assert model.decision_row(x) == model.decision_function(x[None])[0]
+
+    def test_model_without_support_vectors(self):
+        # No optimization round: every dual stays zero, so the model
+        # predicts the majority class through its intercept alone.
+        X, y = _linear_problem(n=40, seed=5)
+        model = SVC(max_iter=0).fit(X, y)
+        assert model.n_support_ == 0 and not model.is_constant_
+        x = np.array([0.5, -0.5, 1.0])
+        assert model.decision_row(x) == model.intercept_
+        assert model.decision_row(x) == model.decision_function(x[None])[0]
+
+    def test_callable_kernel_without_row_form(self):
+        def dot(X, Z):
+            return np.atleast_2d(X) @ np.atleast_2d(Z).T
+
+        X, y = _linear_problem(n=60, seed=6)
+        model = SVC(C=1.0, kernel=dot).fit(X, y)
+        _assert_row_exact(model, np.random.default_rng(6).normal(size=(10, 3)))
+
+    def test_validates_its_input(self):
+        with pytest.raises(NotFittedError):
+            SVC().decision_row(np.zeros(3))
+        X, y = _linear_problem(n=30, seed=7)
+        model = SVC().fit(X, y)
+        with pytest.raises(ValueError, match="expected a row of 3"):
+            model.decision_row(np.zeros(4))
+        with pytest.raises(ValueError, match="expected a row of 3"):
+            model.decision_row(np.zeros((1, 3)))
