@@ -303,16 +303,6 @@ class AdmittanceClassifier:
             raise RuntimeError("classifier is still bootstrapping")
         return np.where(self._admits(self._learner.decision_function(X)), 1, -1)
 
-    def margin_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`margin` over rows of ``X``."""
-        if self._phase is not Phase.ONLINE:
-            raise RuntimeError("classifier is still bootstrapping")
-        margins = self._learner.decision_function(X)
-        hist = self.obs.histogram("admittance.margin", buckets=MARGIN_BUCKETS)
-        for value in margins:
-            hist.observe(float(value))
-        return np.asarray(margins)
-
     @property
     def samples_until_retrain(self) -> int:
         """Observations left before the next batch-boundary retrain

@@ -215,13 +215,14 @@ class ExBox:
             self._update_occupancy_gauges()
             if self.obs.enabled:
                 # The handle_arrival span is still open; elapsed so far is
-                # the decision time the flight recorder should carry.
+                # the decision time the record carries.
                 elapsed = (
                     self.obs.tracer.clock() - span_record.start
                     if span_record is not None
                     else None
                 )
-                self.obs.recorder.record(
+                self.obs.emit(
+                    "admission_decision",
                     matrix=event.matrix_before,
                     app_class=app_class,
                     snr_level=level,
@@ -229,15 +230,6 @@ class ExBox:
                     admitted=decision.admitted,
                     margin=decision.margin,
                     elapsed_s=elapsed,
-                )
-                self.obs.emit(
-                    "admission_decision",
-                    app_class=app_class,
-                    snr_level=level,
-                    phase=decision.phase.value,
-                    admitted=decision.admitted,
-                    margin=decision.margin,
-                    matrix=list(self._matrix.counts),
                 )
         return decision
 

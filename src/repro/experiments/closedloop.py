@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.baselines import AdmissionScheme
-from repro.core.excr import encode_event
 from repro.experiments.datasets import build_testbed_dataset
 from repro.experiments.harness import ExBoxScheme
 from repro.obs.facade import NULL_OBS, Obs
@@ -97,8 +96,9 @@ def run_closed_loop(
 
     A recording ``obs`` instruments the whole episode: per-decision
     ``exbox.decisions.admitted``/``rejected`` counters, a
-    ``closedloop.decide`` span per admission call, per-arrival
-    ``admission_decision`` events, and — for :class:`ExBoxScheme` — the
+    ``closedloop.decide`` span per admission call, one
+    ``admission_decision`` event per arrival (with the margin of the
+    scheme's own decision), and — for :class:`ExBoxScheme` — the
     classifier's own ``admittance.retrain`` spans, since the handle is
     attached to it for the episode. The inert default changes nothing:
     decision outcomes and RNG streams are bit-identical either way.
@@ -150,15 +150,16 @@ def run_closed_loop(
                 result.rejected += 1
                 obs.counter("exbox.decisions.rejected").inc()
             if obs.enabled:
-                # Black-box record for post-mortems; the margin re-query
-                # only happens on instrumented runs, never on NULL_OBS.
                 margin = None
                 phase = "static"
                 if isinstance(scheme, ExBoxScheme):
                     phase = scheme.classifier.phase.value
-                    if scheme.is_online:
-                        margin = scheme.classifier.margin(encode_event(event))
-                obs.recorder.record(
+                    margin = scheme.last_margin
+                obs.gauge("exbox.flows.active").set(len(active))
+                obs.emit(
+                    "admission_decision",
+                    scheme=scheme.name,
+                    minute=minute,
                     matrix=event.matrix_before,
                     app_class=APP_CLASSES[cls_idx],
                     snr_level=level,
@@ -166,17 +167,6 @@ def run_closed_loop(
                     admitted=bool(decision == 1 and room),
                     margin=margin,
                     elapsed_s=span_record.duration if span_record else None,
-                    scheme=scheme.name,
-                    minute=minute,
-                )
-                obs.gauge("exbox.flows.active").set(len(active))
-                obs.emit(
-                    "admission_decision",
-                    scheme=scheme.name,
-                    minute=minute,
-                    app_class=APP_CLASSES[cls_idx],
-                    snr_level=level,
-                    admitted=bool(decision == 1 and room),
                     active_flows=len(active),
                 )
             # The scheme observes the truth of the state it decided on

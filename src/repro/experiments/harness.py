@@ -45,6 +45,8 @@ class ExBoxScheme(AdmissionScheme):
         self.classifier = classifier or AdmittanceClassifier(obs=obs, **kwargs)
         if obs is not None:
             self.classifier.instrument(obs)
+        #: Margin of the latest :meth:`decide`, for the decision record.
+        self.last_margin: Optional[float] = None
 
     @property
     def is_online(self) -> bool:
@@ -60,7 +62,11 @@ class ExBoxScheme(AdmissionScheme):
             self.classifier.force_online()
 
     def decide(self, event: FlowEvent) -> int:
-        return self.classifier.classify(encode_event(event))
+        # One SVM evaluation gives the verdict and the recorded margin.
+        verdict, self.last_margin = self.classifier.classify_with_margin(
+            encode_event(event)
+        )
+        return verdict
 
     def decide_batch(self, events: Sequence[FlowEvent]) -> List[int]:
         """Vectorized decisions: one kernel evaluation for the batch."""

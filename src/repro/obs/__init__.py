@@ -6,13 +6,11 @@ every hot path a way to report where time and decisions go:
 
 - :mod:`repro.obs.registry` — counters, gauges, fixed-bucket histograms,
 - :mod:`repro.obs.tracing` — nested spans with a pluggable clock,
-- :mod:`repro.obs.events` — JSON-lines structured events + logging bridge,
+- :mod:`repro.obs.events` — a bounded ring of JSON-lines structured
+  events (one ``admission_decision`` per arrival: the decision flight
+  recorder) + logging bridge,
 - :mod:`repro.obs.exporters` — JSON snapshot (``BENCH_*.json``),
   Prometheus text, and Chrome trace-event timeline formats,
-- :mod:`repro.obs.recorder` — bounded flight recorder of per-decision
-  records, dumped as JSON-lines for post-mortems,
-- :mod:`repro.obs.diffing` — snapshot-to-snapshot comparison backing
-  ``python -m repro obs diff``,
 - :mod:`repro.obs.baseline` — the CI regression gate against a committed
   baseline (``python -m repro obs check``),
 - :mod:`repro.obs.facade` — the one-argument :class:`Obs` bundle and the
@@ -23,12 +21,6 @@ See ``docs/observability.md`` for the metric catalogue and span names.
 
 from repro.obs.baseline import GateCheck, GateResult, check_baseline
 from repro.obs.clock import MONOTONIC, Clock, ManualClock
-from repro.obs.diffing import (
-    HistogramDelta,
-    ScalarDelta,
-    SnapshotDiff,
-    diff_snapshots,
-)
 from repro.obs.events import (
     EventDict,
     EventLog,
@@ -46,8 +38,7 @@ from repro.obs.exporters import (
     write_bench_json,
     write_chrome_trace,
 )
-from repro.obs.facade import NULL_OBS, Obs, obs_from_env
-from repro.obs.recorder import NULL_RECORDER, DecisionRecord, FlightRecorder
+from repro.obs.facade import NULL_OBS, Obs
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     Counter,
@@ -65,13 +56,6 @@ __all__ = [
     "GateCheck",
     "GateResult",
     "check_baseline",
-    "HistogramDelta",
-    "ScalarDelta",
-    "SnapshotDiff",
-    "diff_snapshots",
-    "NULL_RECORDER",
-    "DecisionRecord",
-    "FlightRecorder",
     "EventDict",
     "EventLog",
     "EventSink",
@@ -87,7 +71,6 @@ __all__ = [
     "write_chrome_trace",
     "NULL_OBS",
     "Obs",
-    "obs_from_env",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Counter",
     "Gauge",

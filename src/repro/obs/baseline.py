@@ -27,10 +27,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.diffing import _hist_stat, _metrics_of
 from repro.obs.exporters import load_snapshot
+from repro.obs.registry import Histogram
 
 __all__ = ["GateCheck", "GateResult", "check_baseline"]
+
+
+def _metrics_of(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Accept either a bare snapshot dict or a BENCH payload."""
+    return payload.get("metrics", payload)
+
+
+def _hist_stat(hist: Histogram, stat: str) -> Optional[float]:
+    if stat == "count":
+        return float(hist.count)
+    if stat == "mean":
+        return hist.mean
+    if stat == "p50":
+        return hist.quantile(0.5)
+    if stat == "p95":
+        return hist.quantile(0.95)
+    if stat == "p99":
+        return hist.quantile(0.99)
+    if stat == "max":
+        return hist.max
+    raise ValueError(f"unknown histogram stat {stat!r}")
 
 
 @dataclass

@@ -1,19 +1,15 @@
 """``repro obs`` — the observability consumption CLI.
 
-Four subcommands over exported snapshots::
+Two subcommands over exported snapshots::
 
     python -m repro obs summary --snapshot BENCH_obs.json
     python -m repro obs summary --snapshot BENCH_obs.json --format prometheus
-    python -m repro obs watch --snapshot BENCH_obs.json --interval 2
-    python -m repro obs diff A.json B.json
     python -m repro obs check --baseline benchmarks/baselines/BENCH_baseline_obs.json \
         --candidate BENCH_obs.json
 
 ``summary`` renders one snapshot as aligned text (or re-emits the
-Prometheus exposition). ``watch`` polls the snapshot file a live run
-keeps rewriting (``REPRO_OBS_EXPORT``) and prints a fresh summary plus
-the delta since the previous tick. ``diff`` compares two snapshots.
-``check`` evaluates the CI baseline gate and exits non-zero on breach.
+Prometheus exposition). ``check`` evaluates the CI baseline gate and
+exits non-zero on breach.
 
 Invoking without a subcommand keeps the original behaviour
 (``python -m repro obs --snapshot ...`` is a ``summary``).
@@ -24,17 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Sequence
 
 from repro.obs.baseline import check_baseline
-from repro.obs.diffing import diff_snapshots
 from repro.obs.exporters import load_snapshot, to_prometheus
 
 __all__ = ["render_snapshot", "build_parser", "main"]
 
-_SUBCOMMANDS = ("summary", "watch", "diff", "check")
+_SUBCOMMANDS = ("summary", "check")
 
 
 def _fmt_seconds(value: Optional[float]) -> str:
@@ -115,53 +109,6 @@ def _run_summary(args: argparse.Namespace, stream: IO[str]) -> int:
     return 0
 
 
-def _run_watch(args: argparse.Namespace, stream: IO[str]) -> int:
-    """Poll the snapshot file, printing a summary + delta each tick.
-
-    A live experiment rewrites its ``REPRO_OBS_EXPORT`` file at natural
-    checkpoints; watching that file is how an operator follows a run
-    without attaching to the process. ``--count`` bounds the ticks (0 =
-    forever), which also makes the loop testable.
-    """
-    path = Path(args.snapshot)
-    previous: Optional[Dict[str, Any]] = None
-    tick = 0
-    while True:
-        tick += 1
-        payload = _load_payload(path)
-        print(f"--- watch tick {tick} ({path}) ---", file=stream)
-        if payload is None:
-            print("(snapshot not present yet; waiting)", file=stream)
-        else:
-            stream.write(render_snapshot(payload))
-            if previous is not None:
-                delta = diff_snapshots(previous, payload)
-                if delta.any_changes:
-                    print("since last tick:", file=stream)
-                    stream.write(delta.render())
-                else:
-                    print("(no change since last tick)", file=stream)
-            previous = payload
-        if args.count and tick >= args.count:
-            return 0
-        if args.interval > 0:
-            time.sleep(args.interval)
-
-
-def _run_diff(args: argparse.Namespace, stream: IO[str]) -> int:
-    payload_a = _load_payload(Path(args.snapshot_a))
-    payload_b = _load_payload(Path(args.snapshot_b))
-    if payload_a is None or payload_b is None:
-        missing = args.snapshot_a if payload_a is None else args.snapshot_b
-        print(f"repro obs diff: snapshot not found: {missing}", file=stream)
-        return 2
-    diff = diff_snapshots(payload_a, payload_b)
-    stream.write(diff.render(only_changed=not args.all))
-    if args.exit_code and diff.any_changes:
-        return 1
-    return 0
-
-
 def _run_check(args: argparse.Namespace, stream: IO[str]) -> int:
     baseline = _load_payload(Path(args.baseline))
     candidate = _load_payload(Path(args.candidate))
@@ -203,41 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_summary_options(p_summary)
 
-    p_watch = sub.add_parser(
-        "watch", help="poll a snapshot file and print live summaries"
-    )
-    p_watch.add_argument(
-        "--snapshot",
-        default="BENCH_obs.json",
-        help="snapshot file a running experiment keeps rewriting",
-    )
-    p_watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between polls (default: 2)",
-    )
-    p_watch.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="stop after N ticks (default 0 = run until interrupted)",
-    )
-
-    p_diff = sub.add_parser("diff", help="compare two snapshots")
-    p_diff.add_argument("snapshot_a", help="before snapshot (A)")
-    p_diff.add_argument("snapshot_b", help="after snapshot (B)")
-    p_diff.add_argument(
-        "--all",
-        action="store_true",
-        help="show unchanged metrics too",
-    )
-    p_diff.add_argument(
-        "--exit-code",
-        action="store_true",
-        help="exit 1 when the snapshots differ (git-diff style)",
-    )
-
     p_check = sub.add_parser(
         "check", help="evaluate the CI baseline regression gate"
     )
@@ -261,10 +173,6 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[IO[str]] = None) ->
         # Back-compat: `repro obs --snapshot X` means `repro obs summary`.
         argv = ["summary", *argv]
     args = build_parser().parse_args(argv)
-    if args.subcommand == "watch":
-        return _run_watch(args, stream)
-    if args.subcommand == "diff":
-        return _run_diff(args, stream)
     if args.subcommand == "check":
         return _run_check(args, stream)
     return _run_summary(args, stream)

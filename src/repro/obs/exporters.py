@@ -13,8 +13,8 @@ exposition format (metric names are dot-separated internally and
 underscore-flattened on export) for anyone pointing a real scrape at a
 long-lived run.
 
-:func:`to_chrome_trace` turns a tracer's finished span trees into the
-Chrome trace-event format, so one experiment's timing becomes a timeline
+:func:`to_chrome_trace` turns a tracer's finished spans into the Chrome
+trace-event format, so one experiment's timing becomes a timeline
 loadable in ``chrome://tracing`` / Perfetto: each span is one complete
 (``"ph": "X"``) event whose nesting the viewer reconstructs from the
 start/duration overlap.
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.tracing import SpanRecord, Tracer
+from repro.obs.tracing import Tracer
 
 __all__ = [
     "snapshot",
@@ -115,40 +115,29 @@ def write_bench_json(
     return path
 
 
-def _span_events(
-    record: SpanRecord, out: List[Dict[str, Any]], pid: int, tid: int
-) -> None:
-    if record.end is None:  # still open; not part of the finished timeline
-        return
-    out.append(
+def to_chrome_trace(
+    tracer: Tracer, meta: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """Chrome trace-event dict of every finished span.
+
+    The result loads directly into ``chrome://tracing`` or Perfetto:
+    ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` with one complete
+    event per span, emitted in completion order (a child before its
+    parent) so the output is deterministic for a given run. Spans still
+    open at export time are omitted (they have no duration yet).
+    """
+    events: List[Dict[str, Any]] = [
         {
             "name": record.name,
             "cat": "repro",
             "ph": "X",
             "ts": record.start * 1e6,  # trace-event timestamps are in µs
             "dur": record.duration * 1e6,
-            "pid": pid,
-            "tid": tid,
+            "pid": 1,
+            "tid": 1,
         }
-    )
-    for child in record.children:
-        _span_events(child, out, pid, tid)
-
-
-def to_chrome_trace(
-    tracer: Tracer, meta: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Chrome trace-event dict of every finished root span tree.
-
-    The result loads directly into ``chrome://tracing`` or Perfetto:
-    ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` with one complete
-    event per span, emitted depth-first in root-completion order so the
-    output is deterministic for a given run. Spans still open at export
-    time are omitted (they have no duration yet).
-    """
-    events: List[Dict[str, Any]] = []
-    for root in tracer.roots:
-        _span_events(root, events, pid=1, tid=1)
+        for record in tracer.finished
+    ]
     payload: Dict[str, Any] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

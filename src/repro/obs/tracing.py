@@ -1,19 +1,18 @@
-"""Tracing spans: nested timing trees with a pluggable clock.
+"""Tracing spans: nested timed regions with a pluggable clock.
 
 A span measures one named region of code::
 
     with tracer.span("admittance.retrain"):
         learner.retrain()
 
-Spans nest — opening a span while another is active makes it a child, so
-one ``exbox.handle_arrival`` root can show the ``svm.fit`` it triggered
-underneath. Completed root spans accumulate on ``tracer.roots`` (a
-bounded deque is unnecessary at experiment scale; callers may ``clear()``
-between episodes), every finished span lands on ``tracer.finished`` in
-completion order, and — when the tracer is wired to a registry — each
-duration is also observed into a histogram named after the span, which
-is how ``admittance.retrain`` becomes a latency distribution in the
-exported snapshot.
+Spans nest — one ``exbox.handle_arrival`` can enclose the ``svm.fit``
+it triggered, and a child's window lies inside its parent's. Every
+finished span lands once on ``tracer.finished`` in completion order (a
+child before its parent; callers may ``clear()`` between episodes),
+and — when the tracer is wired to a registry — each duration is also
+observed into a histogram named after the span, which is how
+``admittance.retrain`` becomes a latency distribution in the exported
+snapshot.
 
 ``span`` doubles as a decorator::
 
@@ -27,7 +26,7 @@ per call, so instrumented code never branches on "is tracing on?".
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.obs.clock import MONOTONIC, Clock
@@ -45,19 +44,11 @@ class SpanRecord:
     name: str
     start: float
     end: Optional[float] = None
-    children: List["SpanRecord"] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
         """Seconds from start to end (0.0 while still open)."""
         return (self.end - self.start) if self.end is not None else 0.0
-
-    def tree(self, indent: int = 0) -> str:
-        """Indented rendering of this span and its descendants."""
-        line = f"{'  ' * indent}{self.name}  {self.duration * 1e3:.3f} ms"
-        return "\n".join(
-            [line, *(child.tree(indent + 1) for child in self.children)]
-        )
 
 
 class SpanHandle:
@@ -90,7 +81,7 @@ class SpanHandle:
 
 
 class Tracer:
-    """Collects nested :class:`SpanRecord` trees.
+    """Collects finished :class:`SpanRecord` entries, in completion order.
 
     Parameters
     ----------
@@ -111,7 +102,6 @@ class Tracer:
     ) -> None:
         self.clock: Clock = clock if clock is not None else MONOTONIC
         self.registry = registry
-        self.roots: List[SpanRecord] = []
         self.finished: List[SpanRecord] = []
         self._stack: List[SpanRecord] = []
 
@@ -121,8 +111,6 @@ class Tracer:
 
     def _open(self, name: str) -> SpanRecord:
         record = SpanRecord(name=name, start=self.clock())
-        if self._stack:
-            self._stack[-1].children.append(record)
         self._stack.append(record)
         return record
 
@@ -137,8 +125,6 @@ class Tracer:
             self.finished.append(top)
             if top is record:
                 break
-        if not self._stack:
-            self.roots.append(record)
         if self.registry is not None:
             self.registry.histogram(record.name).observe(record.duration)
 
@@ -153,7 +139,6 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop finished spans (open spans are kept)."""
-        self.roots.clear()
         self.finished.clear()
 
 

@@ -77,3 +77,65 @@ class TestClosedLoop:
             run_closed_loop(
                 _RejectAll(), WiFiTestbed(), seed=0, arrivals_per_min=0.0
             )
+
+
+class TestOneEvaluationPerClosedLoopDecision:
+    """Under a recording obs, an online closed-loop decision costs one
+    single-row SVM evaluation, and its record carries that margin."""
+
+    def _scheme(self):
+        from repro.experiments.harness import ExBoxScheme
+
+        return ExBoxScheme(
+            batch_size=10, min_bootstrap_samples=30, max_bootstrap_samples=60
+        )
+
+    def _episode(self, obs, monkeypatch):
+        """Run a seeded episode; returns the scheme, the verdicts and the
+        row evaluations between each decide and the following observe."""
+        from repro.experiments.harness import ExBoxScheme
+        from repro.ml.svm import SVC
+
+        rows = {"n": 0}
+        per_decision, verdicts = [], []
+        decision_row, decide, observe = (
+            SVC.decision_row, ExBoxScheme.decide, ExBoxScheme.observe
+        )
+
+        def counted_row(self, x):
+            rows["n"] += 1
+            return decision_row(self, x)
+
+        def marked_decide(self, event):
+            rows["n"] = 0
+            verdict = decide(self, event)
+            verdicts.append(verdict)
+            return verdict
+
+        def marked_observe(self, event, truth):
+            per_decision.append(rows["n"])
+            return observe(self, event, truth)
+
+        monkeypatch.setattr(SVC, "decision_row", counted_row)
+        monkeypatch.setattr(ExBoxScheme, "decide", marked_decide)
+        monkeypatch.setattr(ExBoxScheme, "observe", marked_observe)
+        run_closed_loop(
+            self._scheme(), WiFiTestbed(), seed=7, duration_min=30,
+            arrivals_per_min=2.0, obs=obs,
+        )
+        monkeypatch.undo()
+        return per_decision, verdicts
+
+    def test_one_row_evaluation_per_decision(self, monkeypatch):
+        from repro.obs import NULL_OBS, Obs
+
+        obs = Obs.recording()
+        per_decision, verdicts = self._episode(obs, monkeypatch)
+        assert len(per_decision) == len(verdicts) > 40
+        assert set(per_decision) == {1}
+        records = obs.events.of_type("admission_decision")
+        assert len(records) == len(verdicts)
+        assert all(r["margin"] is not None for r in records)
+        assert all((r["margin"] >= 0.0) == (v == 1) for r, v in zip(records, verdicts))
+        _, dark_verdicts = self._episode(NULL_OBS, monkeypatch)
+        assert dark_verdicts == verdicts

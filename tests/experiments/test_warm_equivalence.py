@@ -109,10 +109,14 @@ def _reference_series(samples, scheme, n_bootstrap, eval_every):
 
 
 class TestChunkedHarnessEquivalence:
-    def test_chunked_matches_per_sample_loop(self):
+    @staticmethod
+    def _assert_chunked_matches(guard_margin):
         def make_scheme():
             return ExBoxScheme(
-                batch_size=20, min_bootstrap_samples=50, max_bootstrap_samples=80
+                batch_size=20,
+                min_bootstrap_samples=50,
+                max_bootstrap_samples=80,
+                guard_margin=guard_margin,
             )
 
         samples = _stream(400, boundary=5, seed=6)
@@ -126,3 +130,15 @@ class TestChunkedHarnessEquivalence:
         assert chunked.sample_counts == reference.sample_counts
         assert chunked.precision == reference.precision
         assert chunked.recall == reference.recall
+        return reference
+
+    def test_chunked_matches_per_sample_loop(self):
+        self._assert_chunked_matches(0.0)
+
+    @pytest.mark.parametrize("guard_margin", [0.5, -0.5])
+    def test_chunked_matches_per_sample_loop_under_guard(self, guard_margin):
+        # The batched path applies the guard as the per-sample one does;
+        # the guard must actually move some verdicts for this to bite.
+        reference = self._assert_chunked_matches(guard_margin)
+        unguarded = self._assert_chunked_matches(0.0)
+        assert reference.y_pred != unguarded.y_pred

@@ -35,9 +35,10 @@ class TestToChromeTrace:
 
     def test_one_complete_event_per_span(self):
         events = to_chrome_trace(nested_tracer())["traceEvents"]
+        # Completion order: a child closes before its parent.
         assert [e["name"] for e in events] == [
-            "exbox.handle_arrival",
             "exbox.decide",
+            "exbox.handle_arrival",
             "admittance.retrain",
         ]
         assert all(e["ph"] == "X" for e in events)
@@ -60,6 +61,16 @@ class TestToChromeTrace:
         assert decide["ts"] + decide["dur"] <= arrival["ts"] + arrival["dur"]
         retrain = events["admittance.retrain"]
         assert retrain["dur"] == pytest.approx(300000.0)
+
+    def test_one_event_per_finished_span_window(self):
+        # (ts, dur) in µs, as the ManualClock fixture sets them.
+        events = to_chrome_trace(nested_tracer())["traceEvents"]
+        assert len(events) == 3
+        assert {e["name"]: (e["ts"], e["dur"]) for e in events} == {
+            "exbox.handle_arrival": (0.0, pytest.approx(5500.0)),
+            "exbox.decide": (pytest.approx(1000.0), pytest.approx(4000.0)),
+            "admittance.retrain": (pytest.approx(15500.0), pytest.approx(300000.0)),
+        }
 
     def test_open_spans_are_omitted(self):
         clock = ManualClock()

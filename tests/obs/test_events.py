@@ -7,6 +7,7 @@ import logging
 import pytest
 
 from repro.obs import EventLog, ManualClock, NullEventLog, jsonl_sink, logging_sink
+from repro.obs.events import CAPACITY
 
 
 def test_emit_sequences_and_keeps_records():
@@ -30,13 +31,13 @@ def test_clock_adds_time_field():
     assert event["time"] == pytest.approx(5.0)
 
 
-def test_keep_false_only_feeds_sinks():
+def test_sinks_see_events_the_ring_evicted():
     seen = []
-    log = EventLog(sinks=[seen.append], keep=False)
-    log.emit("a")
-    log.emit("b")
-    assert len(log) == 0
-    assert [e["event"] for e in seen] == ["a", "b"]
+    log = EventLog(sinks=[seen.append])
+    for i in range(CAPACITY + 3):
+        log.emit("tick", i=i)
+    assert len(log) == CAPACITY
+    assert [e["i"] for e in seen] == list(range(CAPACITY + 3))
 
 
 def test_jsonl_sink_writes_sorted_parseable_lines():

@@ -1,8 +1,15 @@
-"""The Obs facade: wiring, NULL_OBS inertness, env activation."""
+"""The Obs facade: wiring and NULL_OBS inertness."""
 
 import pytest
 
-from repro.obs import NULL_OBS, ManualClock, Obs, obs_from_env
+from repro.obs import (
+    NULL_OBS,
+    EventLog,
+    ManualClock,
+    MetricsRegistry,
+    Obs,
+    Tracer,
+)
 
 
 def test_recording_wires_tracer_to_registry():
@@ -28,7 +35,6 @@ def test_delegation_methods():
 
 
 def test_null_obs_is_shared_and_inert():
-    assert Obs.disabled() is NULL_OBS
     assert NULL_OBS.enabled is False
     NULL_OBS.counter("x").inc(10)
     NULL_OBS.gauge("y").set(5)
@@ -41,27 +47,27 @@ def test_null_obs_is_shared_and_inert():
 def test_event_clock_is_separate_from_span_clock():
     span_clock = ManualClock(start=100.0)
     event_clock = ManualClock(start=7.0)
-    obs = Obs.recording(clock=span_clock, event_clock=event_clock)
+    registry = MetricsRegistry()
+    obs = Obs(
+        registry,
+        Tracer(clock=span_clock, registry=registry),
+        EventLog(clock=event_clock),
+    )
     event = obs.emit("tick")
     assert event["time"] == pytest.approx(7.0)
 
 
-class TestObsFromEnv:
-    def test_disabled_by_default(self):
-        assert obs_from_env({}) is NULL_OBS
+def test_constructed_obs_reaches_event_sinks():
+    seen = []
+    registry = MetricsRegistry()
+    obs = Obs(registry, Tracer(registry=registry), EventLog(sinks=[seen.append]))
+    event = obs.emit("phase_transition", phase="online")
+    assert seen == [event]
 
-    def test_falsey_values_stay_disabled(self):
-        for value in ("", "0", "false", "FALSE", "no", "No"):
-            assert obs_from_env({"REPRO_OBS": value}) is NULL_OBS
 
-    def test_truthy_value_enables(self):
-        obs = obs_from_env({"REPRO_OBS": "1"})
-        assert obs.enabled is True
-        assert obs is not NULL_OBS
-
-    def test_export_path_implies_enabled(self):
-        obs = obs_from_env({"REPRO_OBS_EXPORT": "BENCH_obs.json"})
-        assert obs.enabled is True
-
-    def test_blank_export_path_does_not_enable(self):
-        assert obs_from_env({"REPRO_OBS_EXPORT": "  "}) is NULL_OBS
+def test_recording_events_are_bounded_and_untimed():
+    obs = Obs.recording(clock=ManualClock())
+    event = obs.emit("tick")
+    assert "time" not in event
+    assert obs.events.sinks == []
+    assert obs.events.records.maxlen is not None

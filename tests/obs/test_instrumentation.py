@@ -3,6 +3,7 @@ the inert default changes nothing (bit-identical decisions)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import MaxClientAdmission
@@ -15,6 +16,7 @@ from repro.experiments.latency import (
     measure_training_latency,
 )
 from repro.obs import NULL_OBS, Obs, load_snapshot, snapshot, snapshot_json
+from repro.obs.events import CAPACITY
 from repro.testbed.wifi_testbed import WiFiTestbed
 
 
@@ -155,25 +157,28 @@ class TestLatencyHelpersFeedRegistry:
 
 
 class TestFlightRecorderWiring:
-    """Per-decision records flow from the pipeline into the black box."""
+    """One ``admission_decision`` record per decision flows from the
+    pipeline into the event log's bounded ring."""
 
     def test_closedloop_decisions_are_recorded(self):
         obs = Obs.recording()
         result = _run_episode(obs=obs)
         total = result.admitted + result.rejected
-        assert obs.recorder.total_recorded == total
-        records = obs.recorder.records()
-        assert len(records) == min(total, obs.recorder.capacity)
-        admitted_flags = [r.admitted for r in records]
+        records = obs.events.of_type("admission_decision")
+        assert len(records) == total < CAPACITY
+        admitted_flags = [r["admitted"] for r in records]
+        assert sum(admitted_flags) == result.admitted
         assert any(admitted_flags) and not all(admitted_flags)
-        # Online-phase records carry the SVM margin; every record dumps
-        # as one valid JSON line.
-        online = [r for r in records if r.phase == "online"]
-        assert online and all(r.margin is not None for r in online)
-        for line in obs.recorder.dump().splitlines():
+        # Online-phase records carry the SVM margin and the decision
+        # time; every record dumps as one valid JSON line.
+        online = [r for r in records if r["phase"] == "online"]
+        assert online and all(r["margin"] is not None for r in online)
+        assert all(r["elapsed_s"] >= 0 for r in records)
+        for line in obs.events.dump().splitlines():
             parsed = json.loads(line)
-            assert parsed["scheme"] == "ExBox"
-            assert isinstance(parsed["matrix"], list)
+            if parsed["event"] == "admission_decision":
+                assert parsed["scheme"] == "ExBox"
+                assert isinstance(parsed["matrix"], list)
 
     def test_exbox_handle_arrival_records_with_elapsed(self):
         from repro.core.exbox import ExBox
@@ -182,14 +187,17 @@ class TestFlightRecorderWiring:
 
         obs = Obs.recording(clock=ManualClock(tick=0.001))
         exbox = ExBox.with_defaults(batch_size=10, obs=obs)
-        exbox.handle_arrival(
+        decision = exbox.handle_arrival(
             FlowRequest(app_class="streaming", snr_db=30.0, client_id=1)
         )
-        (record,) = obs.recorder.records()
-        assert record.phase == "bootstrap"
-        assert record.admitted is True
-        assert record.margin is None  # bootstrap admits unconditionally
-        assert record.elapsed_s is not None and record.elapsed_s > 0
+        (record,) = obs.events.records
+        assert record["event"] == "admission_decision"
+        assert record["phase"] == "bootstrap"
+        assert record["admitted"] is True
+        assert record["margin"] is None  # bootstrap admits unconditionally
+        assert record["elapsed_s"] is not None and record["elapsed_s"] > 0
+        # The matrix the decision saw, not the one after admission.
+        assert record["matrix"] == decision.event.matrix_before == (0, 0, 0)
 
     def test_null_obs_recorder_stays_empty(self):
         run_closed_loop(
@@ -199,5 +207,67 @@ class TestFlightRecorderWiring:
             duration_min=5,
             obs=NULL_OBS,
         )
-        assert NULL_OBS.recorder.enabled is False
-        assert len(NULL_OBS.recorder) == 0
+        assert NULL_OBS.events.enabled is False
+        assert len(NULL_OBS.events) == 0
+        assert NULL_OBS.events.dropped == 0
+
+
+class TestOneRecordPerArrival:
+    """A recording ExBox serving more arrivals than the ring holds keeps
+    exactly one record per decision and the newest CAPACITY of them."""
+
+    N_ARRIVALS = 1000
+
+    def test_ring_holds_the_newest_decisions(self, estimator):
+        from repro.core.exbox import ExBox
+        from repro.traffic.flows import APP_CLASSES, FlowRequest
+
+        obs = Obs.recording()
+        box = ExBox.with_defaults(
+            batch_size=10,
+            min_bootstrap_samples=30,
+            max_bootstrap_samples=60,
+            cv_jobs=1,
+            obs=obs,
+        )
+        box.qoe_estimator = estimator
+        rng = np.random.default_rng(11)
+        testbed = WiFiTestbed()
+        decisions = []
+        for i in range(self.N_ARRIVALS):
+            cls = APP_CLASSES[int(rng.integers(3))]
+            before = len(obs.events.records) + obs.events.dropped
+            decision = box.handle_arrival(FlowRequest(client_id=i, app_class=cls))
+            assert len(obs.events.records) + obs.events.dropped == before + 1
+            assert obs.events.records[-1]["event"] == "admission_decision"
+            decisions.append(decision)
+            if i < 120:  # learn until online, then only serve
+                specs = [(f.app_class, f.snr_db) for f in box.active_flows]
+                box.report_outcome(decision, testbed.run_flows(specs, rng=rng))
+            keep = int(rng.integers(0, 6))
+            while len(box.active_flows) > keep:
+                box.handle_departure(box.active_flows[0])
+
+        records = obs.events.of_type("admission_decision")
+        assert len(obs.events) == len(records) == CAPACITY
+        # One phase_transition event shares the stream, long evicted, so
+        # the retained decisions have contiguous seqs.
+        assert obs.events.dropped == self.N_ARRIVALS + 1 - CAPACITY
+        first = records[0]["seq"]
+        assert [r["seq"] for r in records] == list(range(first, first + CAPACITY))
+        newest = decisions[-CAPACITY:]
+        assert all(d.phase.value == "online" for d in newest)
+        for record, decision in zip(records, newest):
+            assert record["matrix"] == decision.event.matrix_before
+            assert record["admitted"] == decision.admitted
+            assert record["margin"] == decision.margin
+            assert record["app_class"] == decision.app_class
+
+
+def test_recorder_and_snapshot_diffing_are_gone():
+    import importlib
+
+    for module in ("repro.obs.recorder", "repro.obs.diffing"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    assert not hasattr(Obs.recording(), "recorder")

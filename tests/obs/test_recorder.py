@@ -1,15 +1,16 @@
-"""Flight recorder: ring-buffer retention and JSON-lines dumps."""
+"""The event log's ring as decision flight recorder: retention,
+eviction, sequence numbers and JSON-lines dumps."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs import NULL_RECORDER, FlightRecorder
-from repro.obs.recorder import DEFAULT_CAPACITY, NullFlightRecorder
+from repro.obs import EventLog, NullEventLog
+from repro.obs.events import CAPACITY
 
 
-def record_n(recorder, n, **overrides):
+def record_n(log, n, **overrides):
     for i in range(n):
         fields = dict(
             matrix=(i, 0, 1),
@@ -21,73 +22,63 @@ def record_n(recorder, n, **overrides):
             elapsed_s=0.001,
         )
         fields.update(overrides)
-        recorder.record(**fields)
+        log.emit("admission_decision", **fields)
 
 
 class TestRingBuffer:
     def test_default_capacity(self):
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+        log = EventLog()
+        assert log.records.maxlen == CAPACITY == 256
+        record_n(log, CAPACITY + 1)
+        assert len(log) == CAPACITY
 
     def test_retains_up_to_capacity(self):
-        rec = FlightRecorder(capacity=4)
-        record_n(rec, 3)
-        assert len(rec) == 3
-        assert rec.dropped == 0
+        log = EventLog()
+        record_n(log, 3)
+        assert len(log) == 3
+        assert log.dropped == 0
 
     def test_evicts_oldest_when_full(self):
-        rec = FlightRecorder(capacity=4)
-        record_n(rec, 10)
-        assert len(rec) == 4
-        assert rec.dropped == 6
-        assert rec.total_recorded == 10
-        # Oldest first; only the newest four survive.
-        assert [r.seq for r in rec.records()] == [6, 7, 8, 9]
+        log = EventLog()
+        record_n(log, CAPACITY + 10)
+        assert len(log) == CAPACITY
+        assert log.dropped == 10
+        # Oldest first; only the newest CAPACITY survive, and seq keeps
+        # counting across the evictions.
+        assert [e["seq"] for e in log.records] == list(range(10, CAPACITY + 10))
 
     def test_last_n(self):
-        rec = FlightRecorder(capacity=8)
-        record_n(rec, 5)
-        assert [r.seq for r in rec.last(2)] == [3, 4]
-        assert rec.last(0) == []
-        assert [r.seq for r in rec.last(99)] == [0, 1, 2, 3, 4]
+        log = EventLog()
+        record_n(log, 5)
+
+        def seqs(last_n):
+            return [json.loads(line)["seq"] for line in log.dump(last_n=last_n).splitlines()]
+
+        assert seqs(2) == [3, 4]
+        assert log.dump(last_n=0) == ""
+        assert seqs(99) == [0, 1, 2, 3, 4]
         with pytest.raises(ValueError):
-            rec.last(-1)
+            log.dump(last_n=-1)
 
     def test_clear_keeps_sequence_numbering(self):
-        rec = FlightRecorder(capacity=8)
-        record_n(rec, 3)
-        rec.clear()
-        assert len(rec) == 0
-        record_n(rec, 1)
-        assert rec.records()[0].seq == 3
-
-    def test_record_normalizes_types(self):
-        rec = FlightRecorder()
-        r = rec.record(
-            matrix=[1.0, 2.0],
-            app_class="web",
-            snr_level=1,
-            phase="bootstrap",
-            admitted=1,
-            margin="0.5",
-        )
-        assert r.matrix == (1, 2)
-        assert r.admitted is True
-        assert r.margin == pytest.approx(0.5)
-        assert r.elapsed_s is None
+        log = EventLog()
+        record_n(log, 3)
+        log.clear()
+        assert len(log) == 0
+        assert log.dropped == 3
+        record_n(log, 1)
+        assert log.records[0]["seq"] == 3
 
 
 class TestDump:
     def test_dump_is_valid_json_lines(self):
-        rec = FlightRecorder(capacity=8)
-        record_n(rec, 3)
-        lines = rec.dump().splitlines()
+        log = EventLog()
+        record_n(log, 3)
+        lines = log.dump().splitlines()
         assert len(lines) == 3
         parsed = [json.loads(line) for line in lines]
         assert [p["seq"] for p in parsed] == [0, 1, 2]
+        assert parsed[0]["event"] == "admission_decision"
         assert parsed[0]["matrix"] == [0, 0, 1]
         assert parsed[0]["app_class"] == "video"
         assert parsed[0]["phase"] == "online"
@@ -95,46 +86,42 @@ class TestDump:
         assert "margin" in parsed[0] and "elapsed_s" in parsed[0]
 
     def test_dump_keys_are_sorted(self):
-        rec = FlightRecorder()
-        record_n(rec, 1)
-        line = rec.dump().splitlines()[0]
+        log = EventLog()
+        record_n(log, 1)
+        line = log.dump().splitlines()[0]
         keys = list(json.loads(line))
         assert keys == sorted(keys)
 
     def test_dump_is_deterministic(self):
-        a, b = FlightRecorder(), FlightRecorder()
+        a, b = EventLog(), EventLog()
         record_n(a, 5)
         record_n(b, 5)
         assert a.dump() == b.dump()
+        # Past the ring's capacity too: both keep the same newest window.
+        record_n(a, CAPACITY)
+        record_n(b, CAPACITY)
+        assert a.dump() == b.dump()
 
     def test_dump_last_n_window(self):
-        rec = FlightRecorder(capacity=16)
-        record_n(rec, 10)
-        lines = rec.dump(last_n=3).splitlines()
+        log = EventLog()
+        record_n(log, 10)
+        lines = log.dump(last_n=3).splitlines()
         assert [json.loads(line)["seq"] for line in lines] == [7, 8, 9]
 
     def test_dump_writes_to_stream(self):
-        rec = FlightRecorder()
-        record_n(rec, 2)
+        log = EventLog()
+        record_n(log, 2)
         buf = io.StringIO()
-        text = rec.dump(stream=buf)
+        text = log.dump(stream=buf)
         assert buf.getvalue() == text
 
     def test_empty_dump_is_empty_string(self):
-        assert FlightRecorder().dump() == ""
+        assert EventLog().dump() == ""
 
     def test_extra_fields_are_inlined(self):
-        rec = FlightRecorder()
-        rec.record(
-            matrix=(1,),
-            app_class="voice",
-            snr_level=0,
-            phase="online",
-            admitted=True,
-            scheme="ExBox",
-            minute=12,
-        )
-        parsed = json.loads(rec.dump())
+        log = EventLog()
+        record_n(log, 1, scheme="ExBox", minute=12)
+        parsed = json.loads(log.dump())
         assert parsed["scheme"] == "ExBox"
         assert parsed["minute"] == 12
         assert "extra" not in parsed
@@ -142,17 +129,14 @@ class TestDump:
 
 class TestNullRecorder:
     def test_disabled_and_empty(self):
-        assert NULL_RECORDER.enabled is False
-        assert isinstance(NULL_RECORDER, NullFlightRecorder)
-        record_n(NULL_RECORDER, 5)
-        assert len(NULL_RECORDER) == 0
-        assert NULL_RECORDER.dump() == ""
+        log = NullEventLog()
+        assert log.enabled is False
+        record_n(log, 5)
+        assert len(log) == 0
+        assert log.dropped == 0
+        assert log.dump() == ""
 
     def test_record_returns_shared_sentinel(self):
-        a = NULL_RECORDER.record(
-            matrix=(1,), app_class="x", snr_level=0, phase="p", admitted=True
-        )
-        b = NULL_RECORDER.record(
-            matrix=(2,), app_class="y", snr_level=1, phase="q", admitted=False
-        )
+        a = NullEventLog().emit("admission_decision", matrix=(1,), admitted=True)
+        b = NullEventLog().emit("phase_transition", phase="online")
         assert a is b

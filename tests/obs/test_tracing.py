@@ -31,7 +31,7 @@ def test_span_durations_come_from_the_injected_clock():
     assert tracer.depth == 0
 
 
-def test_nesting_builds_a_tree():
+def test_nested_spans_finish_inner_first():
     clock = ManualClock()
     tracer = Tracer(clock=clock)
     with tracer.span("root"):
@@ -39,11 +39,12 @@ def test_nesting_builds_a_tree():
             clock.advance(0.1)
         with tracer.span("b"):
             clock.advance(0.2)
-    (root,) = tracer.roots
-    assert [c.name for c in root.children] == ["a", "b"]
-    rendered = root.tree()
-    assert rendered.splitlines()[0].startswith("root")
-    assert "  a" in rendered and "  b" in rendered
+    assert [s.name for s in tracer.finished] == ["a", "b", "root"]
+    a, b, root = tracer.finished
+    # Each child's window lies inside its parent's.
+    for child in (a, b):
+        assert root.start <= child.start and child.end <= root.end
+    assert b.start >= a.end
 
 
 def test_finished_spans_feed_registry_histograms():
@@ -99,7 +100,7 @@ def test_clear_drops_finished_spans():
     with tracer.span("x"):
         pass
     tracer.clear()
-    assert tracer.roots == [] and tracer.finished == []
+    assert tracer.finished == []
 
 
 def test_null_tracer_is_inert():
